@@ -1,12 +1,12 @@
 // Longitudinal drift-scenario soak benchmark: a synthetic 100k+-user
-// cohort streamed over 50+ epochs through the CollationEngine (single or
-// sharded), with per-epoch verification (FMR/FNMR), anonymity-set stats,
+// cohort streamed over 50+ epochs through the CollationService, with
+// per-epoch verification (FMR/FNMR), anonymity-set stats,
 // and collation churn scored along the way. Emits machine-readable
 // BENCH_drift.json carrying the wafp_scenario_* metric families so the
 // bench-smoke CI job can gate on schema and scale floors.
 //
 //   ./build/bench/drift_scenario [--smoke] [--out FILE] [--users N]
-//                                [--epochs K] [--shards S] [--threads T]
+//                                [--epochs K] [--threads T]
 //                                [--stack-swap-rate R] [--simd-rate R]
 //                                [--jitter-rate R] [--seed S]
 //
@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
   flags.flag("--out", &out_path, "output JSON path");
   flags.flag("--users", &config.num_users, "cohort size");
   flags.flag("--epochs", &config.epochs, "epochs incl. enrollment");
-  flags.flag("--shards", &config.shards, "engine shards (0 = single loop)");
   flags.flag("--threads", &config.threads,
              "digest-generation threads (0 = all cores)");
   flags.flag("--stack-swap-rate", &config.drift.stack_swap_rate,
@@ -64,8 +63,8 @@ int main(int argc, char** argv) {
 
   const std::size_t vectors = scenario::default_scenario_vectors().size();
   std::printf("drift_scenario: %zu users x %u epochs x %zu vectors, "
-              "%zu shard(s), drift rates %.3f/%.3f/%.3f\n",
-              config.num_users, config.epochs, vectors, config.shards,
+              "drift rates %.3f/%.3f/%.3f\n",
+              config.num_users, config.epochs, vectors,
               config.drift.stack_swap_rate, config.drift.simd_tier_rate,
               config.drift.jitter_regime_rate);
 
@@ -124,7 +123,6 @@ int main(int argc, char** argv) {
                "  \"users\": %zu,\n"
                "  \"epochs\": %u,\n"
                "  \"vectors\": %zu,\n"
-               "  \"shards\": %zu,\n"
                "  \"stack_swap_rate\": %.4f,\n"
                "  \"simd_tier_rate\": %.4f,\n"
                "  \"jitter_regime_rate\": %.4f,\n"
@@ -149,7 +147,7 @@ int main(int argc, char** argv) {
                "  \"metrics\": %s\n"
                "}\n",
                smoke ? "true" : "false", config.num_users, config.epochs,
-               vectors, config.shards, config.drift.stack_swap_rate,
+               vectors, config.drift.stack_swap_rate,
                config.drift.simd_tier_rate, config.drift.jitter_regime_rate,
                static_cast<unsigned long long>(submissions), seconds,
                static_cast<double>(submissions) / seconds,

@@ -8,12 +8,11 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "service/sharded_collation_service.h"
+#include "service/collation_service.h"
 #include "util/flags.h"
 #include "util/hash.h"
 
@@ -64,22 +63,20 @@ struct RunResult {
 
 RunResult ingest(const std::vector<service::RawSubmission>& trace,
                  const service::ServiceConfig& config) {
-  // Through the CollationEngine interface, like every other consumer.
-  const std::unique_ptr<service::CollationEngine> svc =
-      service::make_engine(config, /*shards=*/0);
+  service::CollationService svc(config);
   const auto start = Clock::now();
   for (const auto& raw : trace) {
-    auto result = svc->submit(raw);
+    auto result = svc.submit(raw);
     while (result.reason == service::Reject::kQueueFull) {
-      svc->pump();
-      result = svc->submit(raw);
+      svc.pump();
+      result = svc.submit(raw);
     }
   }
-  svc->drain_and_checkpoint();
+  svc.drain_and_checkpoint();
   RunResult r;
   r.seconds = seconds_since(start);
-  r.applied = svc->stats().applied;
-  r.checksum = svc->component_checksum();
+  r.applied = svc.stats().applied;
+  r.checksum = svc.component_checksum();
   return r;
 }
 

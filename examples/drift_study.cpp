@@ -8,7 +8,7 @@
 // Zero drift rates reproduce the static study's partition exactly (the
 // metamorphic suite in tests/scenario asserts it bit-for-bit).
 //
-//   ./build/examples/drift_study [--users N] [--epochs K] [--shards S]
+//   ./build/examples/drift_study [--users N] [--epochs K]
 //                                [--stack-swap-rate R] [--simd-rate R]
 //                                [--jitter-rate R] [--fresh-variants]
 //                                [--rendered] [--seed S]
@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   flags.flag("--users", &config.num_users, "cohort size");
   flags.flag("--epochs", &config.epochs,
              "epochs incl. enrollment (epoch 0 never probes)");
-  flags.flag("--shards", &config.shards, "engine shards (0 = single loop)");
   flags.flag("--stack-swap-rate", &config.drift.stack_swap_rate,
              "per-user per-epoch browser/libm upgrade probability");
   flags.flag("--simd-rate", &config.drift.simd_tier_rate,

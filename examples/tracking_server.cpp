@@ -7,8 +7,6 @@
 //
 //   ./build/examples/tracking_server [num_visitors]
 //       [--state-dir DIR]     persist WAL + snapshots (and recover on start)
-//       [--shards N]          run the sharded engine with N shards (0 =
-//                             single-loop CollationService)
 //       [--snapshot-every N]  checkpoint cadence in applied submissions
 //       [--fsync-wal]         fdatasync every WAL append (durable mode)
 //       [--drop-every N] [--dup-every N]  deterministic fault injection
@@ -19,7 +17,6 @@
 //       [--help]              generated usage (util::FlagParser)
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -28,7 +25,7 @@
 #include "platform/catalog.h"
 #include "platform/population.h"
 #include "serve/render_service.h"
-#include "service/sharded_collation_service.h"
+#include "service/collation_service.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
@@ -37,7 +34,6 @@ int main(int argc, char** argv) {
   std::size_t num_visitors = 400;
   std::size_t metrics_every = 0;
   std::size_t render_workers = 0;
-  std::size_t shards = 0;
   service::ServiceConfig config;
   util::FlagParser flags("tracking_server",
                          "Online fingerprint collation demo (paper §3.2): "
@@ -47,8 +43,6 @@ int main(int argc, char** argv) {
                    /*min=*/1);
   flags.flag("--state-dir", &config.state_dir,
              "persist WAL + snapshots here and recover on start");
-  flags.flag("--shards", &shards,
-             "shard the collation engine this many ways (0 = single loop)");
   flags.flag("--snapshot-every", &config.snapshot_every,
              "checkpoint cadence in applied submissions");
   flags.flag("--fsync-wal", &config.fsync_wal,
@@ -98,15 +92,7 @@ int main(int argc, char** argv) {
     return render_service->render(vec, user.profile, jitter.state);
   };
 
-  // 0 shards = the classic single-loop service; N >= 1 = the sharded
-  // engine. Everything below this line only sees the CollationEngine
-  // interface, so the two deployments share one code path.
-  const std::unique_ptr<service::CollationEngine> engine =
-      service::make_engine(config, shards);
-  service::CollationEngine& svc = *engine;
-  if (shards > 0) {
-    std::printf("Sharded collation engine: %zu shards\n", shards);
-  }
+  service::CollationService svc(config);
   {
     const auto s = svc.stats();
     if (s.recovered_from_snapshot + s.recovered_from_wal > 0) {

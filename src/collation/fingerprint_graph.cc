@@ -130,37 +130,6 @@ FingerprintGraph FingerprintGraph::import_state(const Export& state) {
   return graph;
 }
 
-void FingerprintGraph::merge_state(const Export& state) {
-  if (state.users.size() + state.fingerprints.size() != state.roots.size()) {
-    throw std::invalid_argument("FingerprintGraph::merge_state: node count");
-  }
-  // Map every node index of the incoming export to a node of this graph,
-  // keyed by identity (user id / digest) so shared entities glue the two
-  // partitions together.
-  constexpr std::size_t kUnmapped = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> local(state.roots.size(), kUnmapped);
-  for (const auto& [user, node] : state.users) {
-    if (node >= state.roots.size()) {
-      throw std::invalid_argument("FingerprintGraph::merge_state: bad user");
-    }
-    local[node] = user_node(user);
-  }
-  for (const auto& [efp, node] : state.fingerprints) {
-    if (node >= state.roots.size()) {
-      throw std::invalid_argument("FingerprintGraph::merge_state: bad efp");
-    }
-    local[node] = efp_node(efp);
-  }
-  for (std::size_t i = 0; i < state.roots.size(); ++i) {
-    const std::size_t root = state.roots[i];
-    if (root >= state.roots.size() || local[i] == kUnmapped ||
-        local[root] == kUnmapped) {
-      throw std::invalid_argument("FingerprintGraph::merge_state: bad root");
-    }
-    nodes_.unite(local[i], local[root]);
-  }
-}
-
 std::uint64_t FingerprintGraph::component_checksum() const {
   // Canonical per-component hash: members in sorted order, tagged by kind.
   std::unordered_map<std::size_t, std::uint64_t> component_hash;

@@ -88,17 +88,6 @@ class FingerprintGraph {
   /// input (node ids out of range, duplicate ids).
   [[nodiscard]] static FingerprintGraph import_state(const Export& state);
 
-  /// Fold another graph's Export into this one (shard-mergeable export):
-  /// nodes are matched by identity — the same user id or the same digest
-  /// maps to the same merged node — and components connected in `state`
-  /// are united here. Merging every shard of a partitioned deployment into
-  /// one graph therefore reproduces the *global* partition: edges never
-  /// span shards (each lives in exactly one), so shared user ids are
-  /// exactly the cross-shard glue. Idempotent and order-independent over
-  /// any set of exports. Throws std::invalid_argument on an internally
-  /// inconsistent Export (out-of-range node ids or mismatched counts).
-  void merge_state(const Export& state);
-
   /// Order-independent checksum of the *partition*: each component hashes
   /// its sorted user ids and sorted fingerprint digests; component hashes
   /// are sorted and chained. Two graphs get equal checksums iff they hold

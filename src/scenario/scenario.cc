@@ -1,11 +1,13 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 
-#include "service/sharded_collation_service.h"
+#include "service/collation_service.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -13,7 +15,7 @@ namespace wafp::scenario {
 namespace {
 
 /// Submit with the standard backpressure loop (kQueueFull = pump + retry).
-void submit_pumping(service::CollationEngine& engine,
+void submit_pumping(service::CollationService& engine,
                     const service::RawSubmission& raw) {
   auto result = engine.submit(raw);
   while (result.reason == service::Reject::kQueueFull) {
@@ -61,6 +63,10 @@ ScenarioRunner::ScenarioRunner(const ScenarioConfig& config)
       population_(std::make_unique<ScenarioPopulation>(
           config.num_users, config.seed, config.tuning, config.drift,
           config.flakiness_override)) {
+  if (config_.shards != 0) {
+    throw std::invalid_argument(
+        "ScenarioConfig::shards must be 0: sharding was removed");
+  }
   WAFP_CHECK(config_.epochs >= 1) << "a scenario needs at least enrollment";
   WAFP_CHECK(config_.timestamp_stride >= 1)
       << "timestamp relabeling must stay strictly increasing across epochs";
@@ -109,8 +115,7 @@ ScenarioResult ScenarioRunner::run() {
 
   ScenarioStream stream(*population_, config_.source, config_.vectors,
                         config_.threads);
-  std::unique_ptr<service::CollationEngine> engine =
-      service::make_engine(config_.service, config_.shards);
+  auto engine = std::make_unique<service::CollationService>(config_.service);
 
   const std::size_t users = population_->size();
   ScenarioResult result;
@@ -216,7 +221,7 @@ ScenarioResult ScenarioRunner::run() {
         e + 1 < config_.epochs) {
       engine->crash();
       engine.reset();
-      engine = service::make_engine(config_.service, config_.shards);
+      engine = std::make_unique<service::CollationService>(config_.service);
     }
   }
 

@@ -1,4 +1,4 @@
-// ScenarioRunner: streams a drift scenario through a CollationEngine and
+// ScenarioRunner: streams a drift scenario through a CollationService and
 // scores verification per epoch (DESIGN.md §3k).
 //
 // Verification spec (normative — the brute-force RefVerifier in
@@ -24,8 +24,8 @@
 //     churn against the previous epoch's labels (analysis::pair_churn).
 //
 // All metrics depend only on the equality structure of cluster ids, never
-// their values, so single-loop and sharded engines — whose internal ids
-// differ — must produce identical VerificationEpoch records.
+// their values, so a kill-and-recover run — whose internal ids differ from
+// an uninterrupted one — must produce identical VerificationEpoch records.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +52,11 @@ struct ScenarioConfig {
   /// Empty = default_scenario_vectors() (7 audio + 2 compute).
   std::vector<fingerprint::VectorId> vectors;
 
-  /// Engine selection, as service::make_engine: 0 = single loop, >= 1 =
-  /// that many shards. config.service.state_dir empty = in-memory.
+  /// Must be 0: there is one collation engine, and ScenarioRunner throws
+  /// std::invalid_argument otherwise. Kept only for benchmark code that
+  /// still sets it.
   std::size_t shards = 0;
+  /// config.service.state_dir empty = in-memory.
   service::ServiceConfig service;
   /// Crash + recover the engine after every k ingested epochs (0 = never);
   /// requires a non-empty state_dir.
@@ -107,10 +109,11 @@ struct ScenarioResult {
 
 class ScenarioRunner {
  public:
+  /// Throws std::invalid_argument if config.shards != 0.
   explicit ScenarioRunner(const ScenarioConfig& config);
 
   /// Run the whole scenario. Deterministic in the config across thread
-  /// counts and engine shapes (see class comment).
+  /// counts and crash/recovery cadences (see class comment).
   [[nodiscard]] ScenarioResult run();
 
   [[nodiscard]] const ScenarioPopulation& population() const {

@@ -340,10 +340,4 @@ std::uint64_t CollationService::max_observed_timestamp() const {
   return newest;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint64_t>>
-CollationService::user_clocks() const {
-  util::MutexLock lock(mu_);
-  return {validator_.clocks().begin(), validator_.clocks().end()};
-}
-
 }  // namespace wafp::service

@@ -19,18 +19,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <thread>
+#include <vector>
 
 #include "collation/fingerprint_graph.h"
 #include "obs/metrics.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "service/engine.h"
 #include "service/fault_injection.h"
 #include "service/snapshot.h"
 #include "service/types.h"
@@ -81,57 +82,51 @@ class WalAppendError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-class CollationService : public CollationEngine {
+class CollationService {
  public:
   /// Construction runs recovery when state_dir holds prior state. Throws
   /// SnapshotCorruptError if the snapshot exists but fails verification.
   explicit CollationService(ServiceConfig config);
-  ~CollationService() override;
+  ~CollationService();
 
   CollationService(const CollationService&) = delete;
   CollationService& operator=(const CollationService&) = delete;
 
   /// Validate and enqueue one raw submission. Thread-safe. kQueueFull asks
   /// the caller to back off and resubmit (pump() drains the queue).
-  SubmitResult submit(const RawSubmission& raw) override;
+  SubmitResult submit(const RawSubmission& raw);
 
   /// Drain up to `max_records` queued submissions into the WAL + graph.
   /// Returns the number applied. Call from one thread at a time (the
   /// background worker counts as that thread while running); the contract
   /// is enforced — a second concurrent caller trips a WAFP_CHECK abort
   /// rather than silently corrupting the mutex-free pump-owned state.
-  std::size_t pump(std::size_t max_records = SIZE_MAX) override;
+  std::size_t pump(std::size_t max_records = SIZE_MAX);
 
   /// Background ingestion: a worker thread pumps until stop(). submit()
   /// keeps working concurrently. If a WAL append exhausts its retry budget
   /// the worker records the failure (stats().wal_append_failures) and parks
   /// itself instead of terminating the process; the failed submission stays
   /// queued, and start() may be called again to resume.
-  void start() override;
-  void stop() override;
+  void start();
+  void stop();
 
   /// Flush everything queued, then snapshot if state is dirty. The orderly
   /// shutdown path (the destructor calls it for persistent services).
-  void drain_and_checkpoint() override;
+  void drain_and_checkpoint();
 
   /// Fault hook: abandon all in-memory state *without* checkpointing, as a
   /// kill -9 would. The next service constructed on the same state_dir
   /// recovers from snapshot + WAL. (In-memory-only services lose
   /// everything, which is the point.)
-  void crash() override;
+  void crash();
 
-  [[nodiscard]] ServiceStats stats() const override;
+  [[nodiscard]] ServiceStats stats() const;
 
   /// Newest timestamp any user's clock has reached (0 if none). Lets a
   /// resuming producer pick timestamps that clear the recovered clocks
   /// instead of tripping kTimestampRegression.
-  [[nodiscard]] std::uint64_t max_observed_timestamp() const override;
-
-  /// All recovered/observed per-user clocks (unsorted). The sharded router
-  /// max-merges these across shards at recovery to re-arm its global
-  /// validator.
-  [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint64_t>>
-  user_clocks() const;
+  [[nodiscard]] std::uint64_t max_observed_timestamp() const;
 
   /// The live collation graph. Queries are safe against a stopped or
   /// pump()-quiescent service; see FingerprintGraph for the threading rules.
@@ -140,32 +135,31 @@ class CollationService : public CollationEngine {
   }
 
   /// Component checksum of the current graph (crash-recovery witness).
-  [[nodiscard]] std::uint64_t component_checksum() const override {
+  [[nodiscard]] std::uint64_t component_checksum() const {
     return graph_.component_checksum();
   }
 
-  [[nodiscard]] std::size_t cluster_count() const override {
+  [[nodiscard]] std::size_t cluster_count() const {
     return graph_.cluster_count();
   }
-  [[nodiscard]] std::size_t user_count() const override {
+  [[nodiscard]] std::size_t user_count() const {
     return graph_.user_count();
   }
-  [[nodiscard]] std::size_t fingerprint_count() const override {
+  [[nodiscard]] std::size_t fingerprint_count() const {
     return graph_.fingerprint_count();
   }
-  [[nodiscard]] std::vector<std::size_t> cluster_user_counts()
-      const override {
+  [[nodiscard]] std::vector<std::size_t> cluster_user_counts() const {
     return graph_.cluster_user_counts();
   }
 
   /// Probe matching, forwarded to the graph (§3.3 "fingerprint match").
   [[nodiscard]] std::optional<std::size_t> match(
-      std::span<const util::Digest> probe) const override {
+      std::span<const util::Digest> probe) const {
     return graph_.match(probe);
   }
 
   [[nodiscard]] std::optional<std::size_t> user_component(
-      std::uint32_t user) const override {
+      std::uint32_t user) const {
     return graph_.user_component(user);
   }
 

@@ -1,207 +1,28 @@
-// ShardedCollationService: the partitioned collation engine (DESIGN.md
-// §3j) — the same validate -> queue -> WAL -> graph pipeline as
-// CollationService, scaled out over N fingerprint-hash shards.
-//
-// Layout. Every edge (user, efp) of the bipartite graph lives on exactly
-// one shard, chosen by shard_for_digest(efp): elementary fingerprints
-// never span shards, so *users* are the only cross-shard glue. Each shard
-// is a full CollationService — its own bounded ingest queue, CRC-checked
-// WAL with torn-tail repair, checksum-verified snapshots with periodic
-// compaction (WAL truncation), and its own apply worker under start().
-//
-// Router. submit() validates once, globally (per-user monotone clocks span
-// shards — a per-shard clock would be a weaker guarantee), then routes to
-// the owning shard. The router also runs the *network* fault schedule
-// (drop/duplicate) on global accepted ordinals, so a fault plan produces
-// the same drop model on this engine as on the single-shard one — the
-// brute-force oracle for one is the oracle for both. Storage faults
-// (append failures, snapshot corruption) run per shard, where the storage
-// is.
-//
-// Cross-shard union protocol. A user whose fingerprints land on several
-// shards must merge those shards' local components into one global
-// cluster. No distributed transaction is needed: the WAL append on the new
-// shard *is* the durable migration record (user identity is
-// content-addressed glue — any replay of the shard WALs reconstructs the
-// same residency), and the router merely tracks user->shard residency and
-// counts migrations. The global partition is materialized lazily at epoch
-// boundaries: queries fold each shard's partition export into one merged
-// FingerprintGraph (FingerprintGraph::merge_state), cached against a
-// per-shard applied-count epoch vector and rebuilt only when some shard
-// applied new records. Memory stays bounded: per-user router state is a
-// clock plus a 64-bit residency mask, the merged view is a transient that
-// is dropped on staleness (and never even cached with
-// cache_merged_view=false), and per-shard WALs are compacted away by
-// snapshots.
-//
-// Recovery. Construction recovers every shard in parallel (each shard
-// replays its own snapshot + WAL and repairs its own torn tail), then
-// re-arms the router's global clocks by max-merging the shards' recovered
-// per-user clocks and rebuilds residency from the shard graphs. A state
-// directory written under a different shard count is a hard
-// ShardLayoutError (see sharding.h), never a silent misroute.
-//
-// Correctness bar: component_checksum() over the merged view must equal a
-// single CollationService's checksum for the same applied observations —
-// at any shard count, under faults, and across kill-every-k crash
-// recovery (tests/conformance/sharded_oracle_test.cc).
+// Compatibility shim for perfbench/, which still names the engine through
+// CollationEngine and make_engine. There is one collation engine,
+// CollationService; this header stays until the next benchmark change
+// drops it. Nothing else includes it.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <memory>
-#include <optional>
-#include <span>
-#include <vector>
+#include <stdexcept>
 
-#include "collation/fingerprint_graph.h"
-#include "obs/metrics.h"
 #include "service/collation_service.h"
-#include "service/engine.h"
-#include "service/sharding.h"
-#include "service/types.h"
-#include "service/validator.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace wafp::service {
 
-struct ShardedServiceConfig {
-  /// Per-shard configuration template. state_dir is the *engine root*
-  /// (shard i persists under <state_dir>/shard-<i>; empty = volatile);
-  /// queue_capacity and snapshot_every apply per shard; faults follow the
-  /// split documented above (drop/duplicate at the router on global
-  /// ordinals, reorder and storage faults per shard).
-  ServiceConfig base;
+using CollationEngine = CollationService;
 
-  /// Number of shards, 1..64 (the residency mask is one word). The shard
-  /// count is pinned into the state dir's shards.meta on first use.
-  std::size_t shards = 4;
-
-  /// Recover shards concurrently at construction (one thread per shard).
-  bool parallel_recovery = true;
-
-  /// Keep the merged global view alive between queries while no shard has
-  /// applied new records. Off = rebuild per query and free it afterwards
-  /// (minimal steady-state memory; global queries become O(graph) each).
-  bool cache_merged_view = true;
-};
-
-/// Router-level extras beyond the aggregated ServiceStats.
-struct ShardedStats {
-  std::size_t shards = 0;
-  std::uint64_t migration_records = 0;  // user first seen on an extra shard
-  std::uint64_t cross_shard_users = 0;  // users resident on >1 shard now
-  std::uint64_t merged_view_builds = 0;
-};
-
-class ShardedCollationService final : public CollationEngine {
- public:
-  /// Largest supported shard count (residency masks are std::uint64_t).
-  static constexpr std::size_t kMaxShards = 64;
-
-  /// Construction validates the on-disk layout (ShardLayoutError on a
-  /// shard-count mismatch) and recovers every shard; rethrows the first
-  /// shard recovery error (e.g. SnapshotCorruptError).
-  explicit ShardedCollationService(ShardedServiceConfig config);
-  ~ShardedCollationService() override;
-
-  SubmitResult submit(const RawSubmission& raw) override;
-  std::size_t pump(std::size_t max_records = SIZE_MAX) override;
-  void start() override;
-  void stop() override;
-  void drain_and_checkpoint() override;
-  void crash() override;
-
-  /// Aggregated stats: ingest-side counters (submitted/accepted/rejects/
-  /// fault drops) are router-level; apply/WAL/snapshot/recovery counters
-  /// are summed over the shards.
-  [[nodiscard]] ServiceStats stats() const override;
-  [[nodiscard]] ShardedStats sharded_stats() const;
-
-  [[nodiscard]] std::uint64_t max_observed_timestamp() const override;
-
-  [[nodiscard]] std::uint64_t component_checksum() const override;
-  [[nodiscard]] std::size_t cluster_count() const override;
-  [[nodiscard]] std::size_t user_count() const override;
-  [[nodiscard]] std::size_t fingerprint_count() const override;
-  [[nodiscard]] std::vector<std::size_t> cluster_user_counts() const override;
-  [[nodiscard]] std::optional<std::size_t> match(
-      std::span<const util::Digest> probe) const override;
-  [[nodiscard]] std::optional<std::size_t> user_component(
-      std::uint32_t user) const override;
-
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-
-  /// Direct shard access for tests and diagnostics (same quiescence rules
-  /// as the shard's own query surface).
-  [[nodiscard]] const CollationService& shard(std::size_t index) const {
-    return *shards_[index];
+/// Builds a CollationService. `shards` must be 0: a request for shards
+/// throws std::invalid_argument rather than running single-loop silently.
+[[nodiscard]] inline std::unique_ptr<CollationEngine> make_engine(
+    const ServiceConfig& config, std::size_t shards) {
+  if (shards != 0) {
+    throw std::invalid_argument("make_engine: sharding was removed; shards "
+                                "must be 0");
   }
-
- private:
-  void note_residency_locked(std::uint32_t user, std::size_t shard)
-      WAFP_REQUIRES(mu_);
-
-  /// Rebuild the merged global view if any shard applied records since the
-  /// cached epoch (or the engine crashed/recovered).
-  void refresh_view_locked() const WAFP_REQUIRES(view_mu_);
-
-  /// Run `fn` against the merged global view under view_mu_; drops the
-  /// view afterwards when caching is disabled.
-  template <typename Fn>
-  auto with_merged_view(Fn&& fn) const {
-    util::MutexLock lock(view_mu_);
-    refresh_view_locked();
-    auto result = fn(*view_);
-    if (!config_.cache_merged_view) {
-      view_.reset();
-      view_epoch_.clear();
-    }
-    return result;
-  }
-
-  ShardedServiceConfig config_;
-
-  obs::MetricsRegistry& metrics_;
-  obs::Counter& submissions_counter_;
-  obs::Counter& migrations_counter_;
-  obs::Gauge& cross_shard_users_gauge_;
-  obs::Counter& view_builds_counter_;
-  obs::Histogram& view_build_ns_;
-  obs::Histogram& recovery_ns_;
-
-  /// Construction-immutable after the constructor returns.
-  std::vector<std::unique_ptr<CollationService>> shards_;
-
-  mutable util::Mutex mu_;
-  SubmissionValidator validator_ WAFP_GUARDED_BY(mu_);
-  /// user -> bitmask of shards holding at least one of their fingerprints.
-  std::unordered_map<std::uint32_t, std::uint64_t> residency_
-      WAFP_GUARDED_BY(mu_);
-  ServiceStats stats_ WAFP_GUARDED_BY(mu_);
-  std::uint64_t migration_records_ WAFP_GUARDED_BY(mu_) = 0;
-  std::uint64_t cross_shard_users_ WAFP_GUARDED_BY(mu_) = 0;
-  FaultClock fault_clock_ WAFP_GUARDED_BY(mu_);
-  bool crashed_ WAFP_GUARDED_BY(mu_) = false;
-
-  /// Bumped on crash() so the view epoch can't alias a pre-crash state.
-  std::atomic<std::uint64_t> generation_{0};
-
-  mutable util::Mutex view_mu_;
-  mutable std::unique_ptr<collation::FingerprintGraph> view_
-      WAFP_GUARDED_BY(view_mu_);
-  /// [generation, shard 0 applied, shard 1 applied, ...] at build time.
-  mutable std::vector<std::uint64_t> view_epoch_ WAFP_GUARDED_BY(view_mu_);
-  mutable std::uint64_t view_builds_ WAFP_GUARDED_BY(view_mu_) = 0;
-};
-
-/// Engine factory: `shards` == 0 builds the single-loop CollationService,
-/// >= 1 builds a ShardedCollationService with that many shards (1 included
-/// — a one-shard engine exercises the router/merge machinery and must
-/// agree with the single engine bit-for-bit). `base.state_dir` keeps its
-/// engine-specific meaning (service dir vs shard root).
-[[nodiscard]] std::unique_ptr<CollationEngine> make_engine(
-    const ServiceConfig& base, std::size_t shards);
+  return std::make_unique<CollationService>(config);
+}
 
 }  // namespace wafp::service

@@ -48,7 +48,7 @@ enum class Reject {
 /// compile-time -Wswitch error, never a silent "unknown".
 [[nodiscard]] std::string_view to_string(Reject r);
 
-/// Result of CollationEngine::submit(). Accepted submissions are queued,
+/// Result of CollationService::submit(). Accepted submissions are queued,
 /// not yet applied; rejected ones carry the reason.
 struct SubmitResult {
   Reject reason = Reject::kNone;

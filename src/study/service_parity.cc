@@ -1,17 +1,14 @@
 #include "study/service_parity.h"
 
-#include <memory>
-
 #include "collation/fingerprint_graph.h"
-#include "service/sharded_collation_service.h"
+#include "service/collation_service.h"
 
 namespace wafp::study {
 
 ServiceParityReport service_collation_parity(const Dataset& dataset,
                                              fingerprint::VectorId vector,
                                              const service::FaultPlan& faults,
-                                             const std::string& state_dir,
-                                             std::size_t shards) {
+                                             const std::string& state_dir) {
   ServiceParityReport report;
 
   collation::FingerprintGraph direct;
@@ -19,9 +16,7 @@ ServiceParityReport service_collation_parity(const Dataset& dataset,
   config.state_dir = state_dir;
   config.faults = faults;
   config.snapshot_every = 512;
-  const std::unique_ptr<service::CollationEngine> engine =
-      service::make_engine(config, shards);
-  service::CollationEngine& svc = *engine;
+  service::CollationService svc(config);
 
   for (std::size_t user = 0; user < dataset.num_users(); ++user) {
     std::uint64_t visit = 0;

@@ -27,10 +27,8 @@ struct ServiceParityReport {
   }
 };
 
-/// Submit every (user, iteration) digest of `vector` through a collation
-/// engine and compare components with the direct graph. `shards == 0`
-/// selects the single-loop CollationService, `shards >= 1` the sharded
-/// engine (see service::make_engine) — parity must hold either way.
+/// Submit every (user, iteration) digest of `vector` through a
+/// CollationService and compare components with the direct graph.
 /// `state_dir` empty = in-memory service; otherwise the service checkpoints
 /// there (and the comparison exercises WAL + snapshot codepaths too).
 /// `faults` lets callers schedule duplicate/reorder noise — the checksums
@@ -38,7 +36,6 @@ struct ServiceParityReport {
 /// testing with them).
 [[nodiscard]] ServiceParityReport service_collation_parity(
     const Dataset& dataset, fingerprint::VectorId vector,
-    const service::FaultPlan& faults = {}, const std::string& state_dir = {},
-    std::size_t shards = 0);
+    const service::FaultPlan& faults = {}, const std::string& state_dir = {});
 
 }  // namespace wafp::study

@@ -120,9 +120,8 @@ struct CollationOp {
 
 /// Deterministic service-level submission trace: make_op_sequence (no
 /// expiry) rendered as RawSubmissions — vector ids cycling through the 7
-/// audio vectors, op timestamps, test_digest hex. Shared by every engine
-/// oracle suite so single-shard and sharded runs replay byte-identical
-/// traces.
+/// audio vectors, op timestamps, test_digest hex. Seeded, so every oracle
+/// run replays a byte-identical trace.
 [[nodiscard]] std::vector<service::RawSubmission> make_submission_trace(
     std::uint64_t seed, std::size_t length);
 
@@ -132,7 +131,7 @@ struct CollationOp {
 
 /// Brute-force partition checksum of a trace after the explicit network
 /// drop model (drop every `drop_every`th submission, 1-based ordinals;
-/// 0 = lossless). The oracle for CollationEngine::component_checksum().
+/// 0 = lossless). The oracle for CollationService::component_checksum().
 [[nodiscard]] std::uint64_t brute_force_submission_checksum(
     std::span<const service::RawSubmission> trace,
     std::uint64_t drop_every = 0);

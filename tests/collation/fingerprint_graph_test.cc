@@ -133,65 +133,5 @@ TEST(FingerprintGraphTest, ScalesToManyUsers) {
   EXPECT_FALSE(graph.same_cluster(0, 1));
 }
 
-TEST(FingerprintGraphMergeTest, MergingShardExportsReproducesTheGlobalGraph) {
-  // Partition Fig. 4's edges by fingerprint hash across 3 "shards" (no
-  // edge spans a shard; users do), then merge every shard export into one
-  // graph: the global partition must come back exactly.
-  const FingerprintGraph global = build_fig4_graph();
-  FingerprintGraph shards[3];
-  for (int e = 1; e <= 9; ++e) {
-    const std::uint32_t user = e <= 3 ? 1u : (e <= 5 ? 2u : (e <= 7 ? 3u : 4u));
-    shards[efp(e).prefix64() % 3].add_observation(user, efp(e));
-  }
-  // U2 also saw eFP3 (the Fig. 4 bridge), on whatever shard owns eFP3.
-  shards[efp(3).prefix64() % 3].add_observation(2, efp(3));
-
-  FingerprintGraph merged;
-  for (const FingerprintGraph& shard : shards) {
-    merged.merge_state(shard.export_state());
-  }
-  EXPECT_EQ(merged.component_checksum(), global.component_checksum());
-  EXPECT_EQ(merged.cluster_count(), global.cluster_count());
-  EXPECT_EQ(merged.user_count(), global.user_count());
-  EXPECT_EQ(merged.fingerprint_count(), global.fingerprint_count());
-}
-
-TEST(FingerprintGraphMergeTest, MergeIsIdempotentAndOrderIndependent) {
-  const FingerprintGraph global = build_fig4_graph();
-  const FingerprintGraph::Export state = global.export_state();
-
-  FingerprintGraph twice;
-  twice.merge_state(state);
-  twice.merge_state(state);  // idempotent
-  EXPECT_EQ(twice.component_checksum(), global.component_checksum());
-
-  // Merging into a non-empty graph with overlapping entities unites them.
-  FingerprintGraph seeded;
-  seeded.add_observation(1, efp(100));  // user 1 exists before the merge
-  seeded.merge_state(state);
-  EXPECT_TRUE(seeded.same_cluster(1, 2));
-  EXPECT_EQ(seeded.fingerprint_count(), global.fingerprint_count() + 1);
-}
-
-TEST(FingerprintGraphMergeTest, InconsistentExportsAreRejected) {
-  const FingerprintGraph global = build_fig4_graph();
-  FingerprintGraph target;
-  {
-    FingerprintGraph::Export bad = global.export_state();
-    bad.roots.pop_back();  // node count mismatch
-    EXPECT_THROW(target.merge_state(bad), std::invalid_argument);
-  }
-  {
-    FingerprintGraph::Export bad = global.export_state();
-    bad.roots.back() = bad.roots.size() + 5;  // out-of-range root
-    EXPECT_THROW(target.merge_state(bad), std::invalid_argument);
-  }
-  {
-    FingerprintGraph::Export bad = global.export_state();
-    bad.users.back().second = bad.roots.size() + 1;  // out-of-range node
-    EXPECT_THROW(target.merge_state(bad), std::invalid_argument);
-  }
-}
-
 }  // namespace
 }  // namespace wafp::collation

@@ -1,6 +1,6 @@
 // Differential testing of the collation service under fault injection:
 // deterministic submission traces (from the shared op-sequence generator)
-// run through a CollationEngine with drop/duplicate/reorder/append-fail
+// run through a CollationService with drop/duplicate/reorder/append-fail
 // fault plans and kill-every-k crash-recovery loops, and the resulting
 // partition checksum is compared against the brute-force RefBipartiteGraph
 // — an oracle that shares no code with the union-find, the WAL, or the
@@ -8,36 +8,40 @@
 // crashes must be invisible in the checksum; drops must match an explicit
 // brute-force drop model, not merely "some other" result.
 //
-// Everything here drives the abstract CollationEngine interface (via
-// make_engine), so the same assertions hold verbatim for any engine; the
-// sharded engine's suite (sharded_oracle_test.cc) reuses the same shared
-// trace and oracle helpers.
+// Budget: 260 clean, 160 fault-injected and 120 durable kill-every-k
+// sequences of kOpsPerSequence submissions each, plus 8 durable
+// append-failure sequences.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "service/sharded_collation_service.h"
+#include "service/collation_service.h"
 #include "testing/oracles.h"
 
 namespace wafp::testing {
 namespace {
 
+constexpr std::size_t kOpsPerSequence = 120;
+
 TEST(ServiceOracleTest, CleanRunMatchesBruteForce) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto trace = make_submission_trace(seed, 200);
-    const auto svc = service::make_engine(service::ServiceConfig{},
-                                          /*shards=*/0);
+  for (std::uint64_t seed = 1; seed <= 260; ++seed) {
+    const auto trace = make_submission_trace(seed, kOpsPerSequence);
+    service::CollationService svc(service::ServiceConfig{});
     for (const auto& raw : trace) {
-      ASSERT_TRUE(svc->submit(raw).accepted());
+      ASSERT_TRUE(svc.submit(raw).accepted()) << "seed " << seed;
     }
-    svc->pump();
-    EXPECT_EQ(svc->component_checksum(),
+    svc.pump();
+    ASSERT_EQ(svc.component_checksum(),
               brute_force_submission_checksum(trace))
         << "seed " << seed;
+    const auto stats = svc.stats();
+    ASSERT_EQ(stats.accepted, trace.size());
+    ASSERT_EQ(stats.applied, trace.size());
   }
 }
 
@@ -55,45 +59,54 @@ TEST(ServiceOracleTest, DuplicateReorderAndAppendFaultsAreInvisible) {
     config.faults.fail_append_at = 3;     // one transient failure early...
     config.faults.fail_append_every = 41; // ...and recurring ones after
     config.sleeper = [](std::chrono::milliseconds) {};  // no real backoff
-    const auto svc = service::make_engine(config, /*shards=*/0);
-    for (const auto& raw : trace) {
-      ASSERT_TRUE(svc->submit(raw).accepted());
+    {
+      service::CollationService svc(config);
+      for (const auto& raw : trace) {
+        ASSERT_TRUE(svc.submit(raw).accepted());
+      }
+      svc.pump();
+      const auto stats = svc.stats();
+      EXPECT_GT(stats.duplicated_by_fault, 0u);
+      EXPECT_GT(stats.wal_retries, 0u);
+      EXPECT_EQ(svc.component_checksum(),
+                brute_force_submission_checksum(trace))
+          << "seed " << seed
+          << ": duplicates/reorders/retries leaked into the partition";
     }
-    svc->pump();
-    const auto stats = svc->stats();
-    EXPECT_GT(stats.duplicated_by_fault, 0u);
-    EXPECT_GT(stats.wal_retries, 0u);
-    EXPECT_EQ(svc->component_checksum(),
-              brute_force_submission_checksum(trace))
-        << "seed " << seed
-        << ": duplicates/reorders/retries leaked into the partition";
     std::filesystem::remove_all(dir);
   }
 }
 
-TEST(ServiceOracleTest, DropFaultsMatchTheBruteForceDropModel) {
-  const std::uint64_t drop_periods[] = {3, 5, 7, 11};
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const std::uint64_t drop_every = drop_periods[seed % 4];
-    const auto trace = make_submission_trace(seed, 200);
+// The drop/duplicate/reorder matrix: drops follow the brute-force drop
+// model on accepted ordinals, duplicates and reorders are invisible.
+TEST(ServiceOracleTest, FaultMatrixMatchesTheBruteForceDropModel) {
+  const std::uint64_t drop_periods[] = {0, 3, 5, 11};
+  for (std::uint64_t seed = 1; seed <= 160; ++seed) {
+    const auto trace = make_submission_trace(seed, kOpsPerSequence);
     service::ServiceConfig config;
-    config.faults.drop_every = drop_every;
-    const auto svc = service::make_engine(config, /*shards=*/0);
+    config.faults.drop_every = drop_periods[seed % 4];
+    config.faults.duplicate_every = (seed % 3 == 0) ? 7 : 0;
+    config.faults.reorder_every = (seed % 2 == 0) ? 5 : 0;
+    service::CollationService svc(config);
     for (const auto& raw : trace) {
-      ASSERT_TRUE(svc->submit(raw).accepted());  // drops still ack
+      ASSERT_TRUE(svc.submit(raw).accepted());  // drops still ack
     }
-    svc->pump();
-    const auto stats = svc->stats();
-    EXPECT_EQ(stats.dropped_by_fault, trace.size() / drop_every);
-    EXPECT_EQ(svc->component_checksum(),
-              brute_force_submission_checksum(trace, drop_every))
-        << "seed " << seed << " drop_every " << drop_every;
+    svc.pump();
+    ASSERT_EQ(svc.component_checksum(),
+              brute_force_submission_checksum(trace,
+                                              config.faults.drop_every))
+        << "seed " << seed << " drop_every " << config.faults.drop_every;
+    if (config.faults.drop_every != 0) {
+      ASSERT_EQ(svc.stats().dropped_by_fault,
+                trace.size() / config.faults.drop_every)
+          << "seed " << seed;
+    }
   }
 }
 
 TEST(ServiceOracleTest, KillEveryKRecoveryMatchesBruteForce) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const auto trace = make_submission_trace(seed, 200);
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    const auto trace = make_submission_trace(seed, kOpsPerSequence);
     const std::string dir =
         ::testing::TempDir() + "svc_oracle_crash_" + std::to_string(seed);
     std::filesystem::remove_all(dir);
@@ -105,14 +118,16 @@ TEST(ServiceOracleTest, KillEveryKRecoveryMatchesBruteForce) {
       config.faults.reorder_every = 9;
       return config;
     };
-    auto svc = service::make_engine(make_config(), /*shards=*/0);
-    const std::size_t kill_every = 17 + seed;  // vary the crash cadence
+    auto svc = std::make_unique<service::CollationService>(make_config());
+    const std::size_t kill_every = 17 + seed % 13;  // vary the crash cadence
     for (std::size_t i = 0; i < trace.size(); ++i) {
-      ASSERT_TRUE(svc->submit(trace[i]).accepted()) << "submission " << i;
+      ASSERT_TRUE(svc->submit(trace[i]).accepted())
+          << "seed " << seed << " submission " << i;
       svc->pump();  // durable before the crash window opens
       if ((i + 1) % kill_every == 0) {
         svc->crash();
-        svc = service::make_engine(make_config(), /*shards=*/0);
+        svc.reset();
+        svc = std::make_unique<service::CollationService>(make_config());
       }
     }
     svc->pump();

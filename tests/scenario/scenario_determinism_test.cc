@@ -1,14 +1,16 @@
 // Seeded determinism of the drift-scenario machinery: the observation
 // stream, drift trajectories, and full runner results are pure functions
-// of the config — invariant across generation thread counts, engine shard
-// counts, and repeated runs (the property every oracle and metamorphic
-// comparison in this directory silently relies on).
+// of the config — invariant across generation thread counts and repeated
+// runs (the property every oracle and metamorphic comparison in this
+// directory silently relies on).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "scenario/scenario.h"
+#include "service/sharded_collation_service.h"
 
 namespace wafp::scenario {
 namespace {
@@ -41,19 +43,16 @@ TEST(ScenarioDeterminismTest, ThreadCountIsInvisible) {
   }
 }
 
-// Sharding is an engine implementation detail: identical scorecards AND
-// identical canonical partition checksum at 0 (single loop), 1, 2, 8.
-TEST(ScenarioDeterminismTest, ShardCountIsInvisible) {
+// There is one collation engine: a request for shards is an error, never
+// a silent single-loop run. make_engine is the benchmark's compatibility
+// shim and goes with it.
+TEST(ScenarioDeterminismTest, ShardRequestsAreRefused) {
+  EXPECT_THROW((void)service::make_engine(service::ServiceConfig{}, 3),
+               std::invalid_argument);
+  EXPECT_NE(service::make_engine(service::ServiceConfig{}, 0), nullptr);
   ScenarioConfig config = base_config();
-  config.shards = 0;
-  const ScenarioResult baseline = ScenarioRunner(config).run();
-  for (const std::size_t shards : {1, 2, 8}) {
-    config.shards = shards;
-    const ScenarioResult result = ScenarioRunner(config).run();
-    EXPECT_EQ(result.epochs, baseline.epochs) << "shards " << shards;
-    EXPECT_EQ(result.component_checksum, baseline.component_checksum)
-        << "shards " << shards;
-  }
+  config.shards = 2;
+  EXPECT_THROW(ScenarioRunner{config}, std::invalid_argument);
 }
 
 TEST(ScenarioDeterminismTest, RepeatedRunsAreBitIdentical) {

@@ -1,10 +1,10 @@
 // Lockstep differential testing of the streamed drift-scenario verifier:
 // every epoch's FMR/FNMR counts, anonymity-set stats, cluster count, and
 // pair churn out of ScenarioRunner (which streams through a real
-// CollationEngine) must equal the brute-force RefVerifier — re-implemented
+// CollationService) must equal the brute-force RefVerifier — re-implemented
 // from the normative spec comment in src/scenario/scenario.h with no
-// shared code — at every shard count, including kill-every-k durable runs
-// where the engine crashes and recovers mid-scenario.
+// shared code — including kill-every-k durable runs where the service
+// crashes and recovers mid-scenario.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,8 +17,6 @@
 
 namespace wafp::testing {
 namespace {
-
-constexpr std::size_t kShardCounts[] = {0, 1, 2, 8};
 
 /// Replay the scenario's observation stream (regenerated independently of
 /// the runner) through the brute-force verifier, in lockstep.
@@ -71,9 +69,8 @@ void expect_epochs_equal(const std::vector<scenario::VerificationEpoch>& got,
 }
 
 // Moderate-drift synthetic scenarios at three seeds: the streamed runner
-// matches the oracle at every shard count, and the canonical partition
-// checksum is shard-count-invariant.
-TEST(ScenarioOracleTest, SyntheticLockstepAcrossShardCountsAndSeeds) {
+// matches the oracle.
+TEST(ScenarioOracleTest, SyntheticLockstepAcrossSeeds) {
   for (const std::uint64_t seed : {11U, 22U, 33U}) {
     scenario::ScenarioConfig config;
     config.num_users = 48;
@@ -85,28 +82,15 @@ TEST(ScenarioOracleTest, SyntheticLockstepAcrossShardCountsAndSeeds) {
     config.drift.seed = seed * 1000 + 7;
     const auto want = reference_epochs(config);
 
-    std::uint64_t first_checksum = 0;
-    for (const std::size_t shards : kShardCounts) {
-      config.shards = shards;
-      scenario::ScenarioRunner runner(config);
-      const scenario::ScenarioResult result = runner.run();
-      expect_epochs_equal(result.epochs, want,
-                          "seed " + std::to_string(seed) + " shards " +
-                              std::to_string(shards));
-      std::uint64_t total_events = 0;
-      for (const auto& epoch : result.epochs) {
-        total_events += epoch.drift_events;
-      }
-      EXPECT_EQ(result.drift_events, total_events);
-      EXPECT_NE(result.component_checksum, 0U);
-      if (shards == 0) {
-        first_checksum = result.component_checksum;
-      } else {
-        EXPECT_EQ(result.component_checksum, first_checksum)
-            << "seed " << seed << " shards " << shards
-            << ": sharded partition diverged from the single engine";
-      }
+    const scenario::ScenarioResult result =
+        scenario::ScenarioRunner(config).run();
+    expect_epochs_equal(result.epochs, want, "seed " + std::to_string(seed));
+    std::uint64_t total_events = 0;
+    for (const auto& epoch : result.epochs) {
+      total_events += epoch.drift_events;
     }
+    EXPECT_EQ(result.drift_events, total_events);
+    EXPECT_NE(result.component_checksum, 0U);
   }
 }
 
@@ -123,21 +107,16 @@ TEST(ScenarioOracleTest, FreshVariantHighDriftLockstep) {
   config.drift.jitter_regime_rate = 0.15;
   config.drift.fresh_variants = true;
   config.flakiness_override = 0.4;
-  const auto want = reference_epochs(config);
-  for (const std::size_t shards : kShardCounts) {
-    config.shards = shards;
-    const scenario::ScenarioResult result =
-        scenario::ScenarioRunner(config).run();
-    expect_epochs_equal(result.epochs, want,
-                        "shards " + std::to_string(shards));
-  }
+  const scenario::ScenarioResult result =
+      scenario::ScenarioRunner(config).run();
+  expect_epochs_equal(result.epochs, reference_epochs(config), "fresh");
 }
 
 // Kill-every-k durable soak: the engine is crashed (no checkpoint) and
 // recovered from WAL + snapshots every 3 epochs; all probes and label
-// read-backs after recovery must still match the oracle, at every shard
-// count.
-TEST(ScenarioOracleTest, KillEveryKRecoveryLockstepPerShardCount) {
+// read-backs after recovery must still match the oracle, and so must the
+// partition checksum of an uninterrupted in-memory run.
+TEST(ScenarioOracleTest, KillEveryKRecoveryLockstep) {
   scenario::ScenarioConfig config;
   config.num_users = 40;
   config.epochs = 9;
@@ -145,26 +124,29 @@ TEST(ScenarioOracleTest, KillEveryKRecoveryLockstepPerShardCount) {
   config.drift.stack_swap_rate = 0.12;
   config.drift.simd_tier_rate = 0.08;
   config.drift.jitter_regime_rate = 0.06;
+  const std::uint64_t uninterrupted =
+      scenario::ScenarioRunner(config).run().component_checksum;
+
+  const std::string dir = ::testing::TempDir() + "scenario_oracle_crash";
+  std::filesystem::remove_all(dir);
   config.kill_every = 3;
-  const auto want = reference_epochs(config);
-  for (const std::size_t shards : {1, 2, 8}) {
-    const std::string dir = ::testing::TempDir() + "scenario_oracle_crash_" +
-                            std::to_string(shards);
-    std::filesystem::remove_all(dir);
-    config.shards = shards;
-    config.service.state_dir = dir;
-    config.service.snapshot_every = 64;
-    const scenario::ScenarioResult result =
-        scenario::ScenarioRunner(config).run();
-    expect_epochs_equal(result.epochs, want,
-                        "kill-every-3 shards " + std::to_string(shards));
-    std::filesystem::remove_all(dir);
-  }
+  config.service.state_dir = dir;
+  config.service.snapshot_every = 64;
+  const scenario::ScenarioResult result =
+      scenario::ScenarioRunner(config).run();
+  expect_epochs_equal(result.epochs, reference_epochs(config),
+                      "kill-every-3");
+  EXPECT_EQ(result.component_checksum, uninterrupted);
+  EXPECT_GT(result.stats.recovered_from_snapshot +
+                result.stats.recovered_from_wal,
+            0U)
+      << "the run never recovered anything";
+  std::filesystem::remove_all(dir);
 }
 
 // The rendered source (real DSP through FingerprintCollector plus the WASM
 // compute batteries) obeys the same spec: lockstep parity on a small
-// cohort, single and sharded.
+// cohort.
 TEST(ScenarioOracleTest, RenderedSourceLockstep) {
   scenario::ScenarioConfig config;
   config.num_users = 16;
@@ -177,14 +159,9 @@ TEST(ScenarioOracleTest, RenderedSourceLockstep) {
   config.drift.stack_swap_rate = 0.15;
   config.drift.simd_tier_rate = 0.10;
   config.drift.jitter_regime_rate = 0.10;
-  const auto want = reference_epochs(config);
-  for (const std::size_t shards : {0, 2}) {
-    config.shards = shards;
-    const scenario::ScenarioResult result =
-        scenario::ScenarioRunner(config).run();
-    expect_epochs_equal(result.epochs, want,
-                        "rendered shards " + std::to_string(shards));
-  }
+  const scenario::ScenarioResult result =
+      scenario::ScenarioRunner(config).run();
+  expect_epochs_equal(result.epochs, reference_epochs(config), "rendered");
 }
 
 }  // namespace

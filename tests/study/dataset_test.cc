@@ -4,7 +4,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
+#include "obs/span.h"
 #include "util/csv.h"
 
 namespace wafp::study {
@@ -32,6 +35,23 @@ TEST(DatasetTest, ShapesMatchConfig) {
   for (const fingerprint::VectorId id : fingerprint::audio_vector_ids()) {
     EXPECT_EQ(ds.audio_observations(0, id).size(), 6u);
   }
+}
+
+// The prewarm phase nests inside the collect span, so its own name must
+// be relative: the trace path reads study/collect/prewarm.
+TEST(DatasetTest, CollectSpansNestUnderCollect) {
+  StudyConfig cfg = small_config();
+  cfg.num_users = 4;
+  cfg.iterations = 1;
+  cfg.threads = 1;
+  obs::ScopedTraceCapture capture;
+  (void)Dataset::collect(cfg);
+  std::vector<std::string> paths;
+  for (const obs::SpanEvent& event : capture.events()) {
+    paths.push_back(event.path);
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{"study/collect/prewarm",
+                                             "study/collect"}));
 }
 
 TEST(DatasetTest, ObservationAccessorsConsistent) {

@@ -29,27 +29,6 @@ TEST(ServiceParityTest, InMemoryServiceMatchesDirectGraph) {
       << report.service_checksum;
 }
 
-TEST(ServiceParityTest, ShardedEngineMatchesDirectGraph) {
-  // The offline-study bridge must hold for the sharded engine too: replay
-  // the dataset at several shard counts and demand bit-identical
-  // partitions. Duplicate/reorder noise stays invisible here as well.
-  service::FaultPlan faults;
-  faults.duplicate_every = 5;
-  faults.reorder_every = 3;
-  for (const std::size_t shards : {1, 2, 8}) {
-    const auto report = service_collation_parity(
-        study(), fingerprint::VectorId::kHybrid, faults, /*state_dir=*/{},
-        shards);
-    EXPECT_EQ(report.submitted, report.accepted) << shards << " shards";
-    // Injected duplicates are applied (idempotently) on top of the
-    // accepted stream, so applied >= accepted here.
-    EXPECT_GE(report.applied, report.accepted) << shards << " shards";
-    EXPECT_TRUE(report.match())
-        << shards << " shards: " << std::hex << report.direct_checksum
-        << " vs " << report.service_checksum;
-  }
-}
-
 TEST(ServiceParityTest, DurableServiceWithFaultsStillMatches) {
   const std::string dir = "study_parity_state";
   std::filesystem::remove_all(dir);
