@@ -7,13 +7,15 @@
 #include <vector>
 
 #include "analysis/entropy.h"
+#include "bench_common.h"
 #include "fingerprint/render_cache.h"
 #include "fingerprint/vector_registry.h"
 #include "platform/catalog.h"
 #include "platform/population.h"
 #include "util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = wafp::bench::reject_arguments(argc, argv)) return rc;
   using namespace wafp;
   using fingerprint::VectorId;
 

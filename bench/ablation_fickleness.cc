@@ -5,11 +5,13 @@
 // results (Table 2) survive without it.
 #include <cstdio>
 
+#include "bench_common.h"
 #include "study/experiments.h"
 #include "study/report.h"
 #include "util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = wafp::bench::reject_arguments(argc, argv)) return rc;
   using namespace wafp;
   using fingerprint::VectorId;
 

@@ -8,7 +8,8 @@
 #include "study/experiments.h"
 #include "util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = wafp::bench::reject_arguments(argc, argv)) return rc;
   using namespace wafp;
   using fingerprint::VectorId;
 

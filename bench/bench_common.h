@@ -12,6 +12,15 @@
 
 namespace wafp::bench {
 
+/// These benches take no arguments: reject any (a typo'd flag or --help)
+/// with a usage line instead of silently running the full bench. Returns 2
+/// when argv holds arguments, 0 otherwise; call first in main().
+inline int reject_arguments(int argc, char** argv) {
+  if (argc <= 1) return 0;
+  std::fprintf(stderr, "usage: %s  (takes no arguments)\n", argv[0]);
+  return 2;
+}
+
 inline study::Dataset timed_main_dataset() {
   const auto start = std::chrono::steady_clock::now();
   study::Dataset ds = study::main_dataset();

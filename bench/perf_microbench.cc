@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "collation/disjoint_set.h"
-#include "collation/dynamic_connectivity.h"
 #include "collation/fingerprint_graph.h"
 #include "dsp/fft.h"
 #include "dsp/math_library.h"
@@ -281,36 +280,8 @@ void BM_FingerprintGraphQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintGraphQuery);
 
-void BM_DynamicConnectivityChurn(benchmark::State& state) {
-  // The HDT structure under sustained insert/delete churn (the paper's
-  // cited O(log^2 n) amortized updates). Edges are random; about half the
-  // operations are deletions once the graph warms up.
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  collation::DynamicConnectivity dc(n);
-  util::Rng rng(41);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> live;
-  std::size_t ops = 0;
-  for (auto _ : state) {
-    const bool do_delete = !live.empty() && rng.next_bool(0.5);
-    if (do_delete) {
-      const std::size_t pick = rng.next_below(live.size());
-      dc.delete_edge(live[pick].first, live[pick].second);
-      live[pick] = live.back();
-      live.pop_back();
-    } else {
-      const auto u = static_cast<std::uint32_t>(rng.next_below(n));
-      const auto v = static_cast<std::uint32_t>(rng.next_below(n));
-      if (dc.insert_edge(u, v)) live.emplace_back(u, v);
-    }
-    ++ops;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-  state.SetLabel("HDT insert/delete mix, n=" + std::to_string(n));
-}
-BENCHMARK(BM_DynamicConnectivityChurn)->Arg(1000)->Arg(10000)->Arg(100000);
-
 void BM_DisjointSetUnion(benchmark::State& state) {
-  // Baseline for the insert-only workload HDT is overkill for.
+  // The union-find under both collation graphs, insert-only.
   const auto n = static_cast<std::uint32_t>(state.range(0));
   util::Rng rng(43);
   for (auto _ : state) {

@@ -4,11 +4,13 @@
 #include <cstdio>
 #include <map>
 
+#include "bench_common.h"
 #include "platform/catalog.h"
 #include "platform/population.h"
 #include "util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = wafp::bench::reject_arguments(argc, argv)) return rc;
   using namespace wafp;
 
   constexpr std::size_t kUsers = 2093;

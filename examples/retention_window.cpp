@@ -1,13 +1,13 @@
 // Retention-window tracking: the paper's collation graph with a data
-// lifetime, backed by the fully-dynamic connectivity structure its §3.2
-// cites (Holm-de Lichtenberg-Thorup). Shows what a fingerprinter loses when
+// lifetime (collation/expiring_graph.h). Shows what a fingerprinter loses when
 // observations must be deleted after N days (GDPR-style retention): stale
 // bridges dissolve, clusters fragment, and returning visitors outside the
 // window become unmatchable.
 //
 //   ./build/examples/retention_window [num_users] [window_days]
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "collation/expiring_graph.h"
@@ -15,13 +15,29 @@
 #include "platform/catalog.h"
 #include "platform/population.h"
 
+namespace {
+
+// Strict positive decimal: the whole argument, no sign, no overflow.
+bool parse_positive(std::string_view text, std::size_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end && out > 0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace wafp;
 
   std::size_t num_users = 300;
-  std::uint64_t window_days = 30;
-  if (argc > 1) num_users = std::strtoul(argv[1], nullptr, 10);
-  if (argc > 2) window_days = std::strtoul(argv[2], nullptr, 10);
+  std::size_t window_days = 30;
+  if (argc > 3 || (argc > 1 && !parse_positive(argv[1], num_users)) ||
+      (argc > 2 && !parse_positive(argv[2], window_days))) {
+    std::fprintf(stderr,
+                 "usage: %s [num_users] [window_days] (positive integers)\n",
+                 argv[0]);
+    return 2;
+  }
 
   const platform::DeviceCatalog catalog;
   const platform::Population population(catalog, num_users, 1212);
@@ -96,8 +112,8 @@ int main(int argc, char** argv) {
               matched_churned, churned_total);
   std::printf(
       "\nReading: the retention window erases churned users — a privacy "
-      "win the\ninsert-only disjoint-set graph cannot express; edge "
-      "deletion needs the\nfully-dynamic connectivity structure "
-      "(collation/dynamic_connectivity.h).\n");
+      "win the\ninsert-only graph cannot express. Expiry rebuilds the "
+      "disjoint-set from the\nsurviving edges, so deletion costs one "
+      "linear pass per expiring day.\n");
   return 0;
 }

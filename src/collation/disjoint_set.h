@@ -2,8 +2,9 @@
 // structure the paper recommends ([25]) for maintaining the fingerprint
 // graph's connected components online. All operations are amortized
 // near-constant (inverse Ackermann), comfortably under the O(log^2 u)
-// bound the paper quotes for fully-dynamic connectivity; our graphs are
-// insert-only so the stronger structure is unnecessary (see DESIGN.md §7).
+// bound the paper quotes for fully-dynamic connectivity. It backs both
+// collation graphs; the expiring one rebuilds it from the surviving edges
+// after an expiry rather than deleting edges (see DESIGN.md §7).
 #pragma once
 
 #include <cstddef>

@@ -16,7 +16,7 @@ std::uint64_t pack_edge(std::uint32_t a, std::uint32_t b) {
 
 ExpiringFingerprintGraph::ExpiringFingerprintGraph(std::size_t max_nodes)
     : max_nodes_(max_nodes),
-      connectivity_(max_nodes),
+      forest_(max_nodes),
       node_degree_(max_nodes, 0) {}
 
 std::uint32_t ExpiringFingerprintGraph::allocate_node() {
@@ -51,7 +51,7 @@ void ExpiringFingerprintGraph::add_observation(std::uint32_t user,
 
   const auto [it, inserted] = edge_timestamp_.try_emplace(key, timestamp);
   if (inserted) {
-    connectivity_.insert_edge(un, en);
+    forest_.unite(un, en);
     ++node_degree_[un];
     ++node_degree_[en];
   } else {
@@ -68,6 +68,7 @@ void ExpiringFingerprintGraph::expire_before(std::uint64_t cutoff) {
   // a queue entry is stale (skipped) when the pair was refreshed to a newer
   // timestamp, already expired, or duplicated at the same timestamp and
   // handled by an earlier pop.
+  bool erased = false;
   while (!expiry_queue_.empty() && expiry_queue_.top().timestamp < cutoff) {
     const PendingExpiry entry = expiry_queue_.top();
     expiry_queue_.pop();
@@ -77,9 +78,16 @@ void ExpiringFingerprintGraph::expire_before(std::uint64_t cutoff) {
       continue;  // refreshed or already expired
     }
     edge_timestamp_.erase(it);
-    connectivity_.delete_edge(entry.user_node, entry.efp_node);
     --node_degree_[entry.user_node];
     --node_degree_[entry.efp_node];
+    erased = true;
+  }
+  if (!erased) return;
+  // A disjoint-set cannot split a component, so rebuild it from the
+  // surviving edges.
+  forest_ = DisjointSet(max_nodes_);
+  for (const auto& [key, timestamp] : edge_timestamp_) {
+    forest_.unite(key >> 32, key & 0xFFFFFFFFu);
   }
 }
 
@@ -93,14 +101,14 @@ std::size_t ExpiringFingerprintGraph::active_user_count() const {
 
 std::size_t ExpiringFingerprintGraph::cluster_count() const {
   // Group active user nodes by connectivity: each unmatched user probes the
-  // representatives found so far (O(active * clusters * log n); fine for
-  // the analysis sizes this library targets).
+  // representatives found so far (O(active * clusters); fine for the
+  // analysis sizes this library targets).
   std::vector<std::uint32_t> representatives;
   for (const auto& [user, node] : user_nodes_) {
     if (node_degree_[node] == 0) continue;
     bool found = false;
     for (const std::uint32_t rep : representatives) {
-      if (connectivity_.connected(rep, node)) {
+      if (forest_.connected(rep, node)) {
         found = true;
         break;
       }
@@ -118,7 +126,7 @@ bool ExpiringFingerprintGraph::same_cluster(std::uint32_t user_a,
   if (node_degree_[a->second] == 0 || node_degree_[b->second] == 0) {
     return false;
   }
-  return connectivity_.connected(a->second, b->second);
+  return forest_.connected(a->second, b->second);
 }
 
 std::optional<std::uint32_t> ExpiringFingerprintGraph::match(
@@ -137,7 +145,7 @@ std::optional<std::uint32_t> ExpiringFingerprintGraph::match(
   for (const std::uint32_t hit : hits) {
     bool grouped = false;
     for (auto& [rep, count] : groups) {
-      if (connectivity_.connected(rep, hit)) {
+      if (forest_.connected(rep, hit)) {
         ++count;
         grouped = true;
         break;

@@ -1,10 +1,11 @@
 // ExpiringFingerprintGraph: the paper's collation graph (§3.2) with a data
 // lifetime — observations older than a cutoff can be expired, after which
 // clusters that were only held together by stale fingerprints fall apart.
-// This is the workload that actually needs the fully-dynamic connectivity
-// structure the paper cites ([11]): the insert-only graph is fine with a
-// disjoint-set, but retention limits (GDPR-style deletion, sliding
-// analysis windows) demand edge *removal*.
+// Retention limits (GDPR-style deletion, sliding analysis windows) demand
+// edge *removal*, which a disjoint-set cannot undo; instead the forest is
+// rebuilt from the surviving edges whenever an expiry erases something —
+// O(max_nodes + edges) per such expiry, cheap at the sizes this graph
+// serves (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "collation/dynamic_connectivity.h"
+#include "collation/disjoint_set.h"
 #include "util/hash.h"
 
 namespace wafp::collation {
@@ -56,7 +57,7 @@ class ExpiringFingerprintGraph {
   [[nodiscard]] std::size_t active_user_count() const;
   /// Live observations (edges).
   [[nodiscard]] std::size_t observation_count() const {
-    return connectivity_.edge_count();
+    return edge_timestamp_.size();
   }
 
   /// Collated clusters among active users.
@@ -68,8 +69,8 @@ class ExpiringFingerprintGraph {
 
   /// Match a probe of fresh fingerprints against the live graph: returns a
   /// node handle inside the cluster the majority of known digests belong
-  /// to. Compare handles with nodes_connected() — unlike the union-find
-  /// graph there is no canonical root id.
+  /// to. Compare handles with nodes_connected() — a handle is not a
+  /// canonical id, since roots move whenever expiry rebuilds the forest.
   [[nodiscard]] std::optional<std::uint32_t> match(
       std::span<const util::Digest> probe) const;
 
@@ -79,7 +80,7 @@ class ExpiringFingerprintGraph {
 
   /// Whether two node handles currently share a component.
   [[nodiscard]] bool nodes_connected(std::uint32_t a, std::uint32_t b) const {
-    return connectivity_.connected(a, b);
+    return forest_.connected(a, b);
   }
 
   /// Every live edge with its newest timestamp, sorted by (timestamp, user,
@@ -108,12 +109,8 @@ class ExpiringFingerprintGraph {
   [[nodiscard]] std::uint32_t efp_node(const util::Digest& efp);
   [[nodiscard]] std::uint32_t allocate_node();
 
-  /// Stable id for a component: the smallest node index in it would be
-  /// O(n); instead we return the node's root via a connectivity probe
-  /// against each candidate — kept O(log n) by returning the probe node
-  /// itself and comparing with connected().
   std::size_t max_nodes_;
-  DynamicConnectivity connectivity_;
+  DisjointSet forest_;  // components of the live edges in edge_timestamp_
   std::unordered_map<std::uint32_t, std::uint32_t> user_nodes_;
   std::unordered_map<util::Digest, std::uint32_t> efp_nodes_;
   std::vector<std::uint32_t> node_degree_;  // live edges per node

@@ -159,67 +159,6 @@ RefBipartiteGraph::live_observations() const {
 }
 
 // ---------------------------------------------------------------------------
-// RefConnectivity
-
-bool RefConnectivity::insert_edge(std::uint32_t u, std::uint32_t v) {
-  if (u == v || has_edge(u, v)) return false;
-  adjacency_[u].push_back(v);
-  adjacency_[v].push_back(u);
-  ++edge_count_;
-  return true;
-}
-
-bool RefConnectivity::delete_edge(std::uint32_t u, std::uint32_t v) {
-  if (u == v || !has_edge(u, v)) return false;
-  std::erase(adjacency_[u], v);
-  std::erase(adjacency_[v], u);
-  --edge_count_;
-  return true;
-}
-
-bool RefConnectivity::has_edge(std::uint32_t u, std::uint32_t v) const {
-  const std::vector<std::uint32_t>& neighbours = adjacency_[u];
-  return std::find(neighbours.begin(), neighbours.end(), v) !=
-         neighbours.end();
-}
-
-std::vector<std::uint32_t> RefConnectivity::reach(std::uint32_t start) const {
-  std::vector<bool> seen(adjacency_.size(), false);
-  std::vector<std::uint32_t> reached{start};
-  seen[start] = true;
-  for (std::size_t i = 0; i < reached.size(); ++i) {
-    for (const std::uint32_t next : adjacency_[reached[i]]) {
-      if (!seen[next]) {
-        seen[next] = true;
-        reached.push_back(next);
-      }
-    }
-  }
-  return reached;
-}
-
-bool RefConnectivity::connected(std::uint32_t u, std::uint32_t v) const {
-  if (u == v) return true;
-  const std::vector<std::uint32_t> reached = reach(u);
-  return std::find(reached.begin(), reached.end(), v) != reached.end();
-}
-
-std::size_t RefConnectivity::component_size(std::uint32_t u) const {
-  return reach(u).size();
-}
-
-std::size_t RefConnectivity::component_count() const {
-  std::vector<bool> seen(adjacency_.size(), false);
-  std::size_t count = 0;
-  for (std::uint32_t v = 0; v < adjacency_.size(); ++v) {
-    if (seen[v]) continue;
-    ++count;
-    for (const std::uint32_t reached : reach(v)) seen[reached] = true;
-  }
-  return count;
-}
-
-// ---------------------------------------------------------------------------
 // Op sequences
 
 std::vector<CollationOp> make_op_sequence(std::uint64_t seed,

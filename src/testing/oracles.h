@@ -2,10 +2,10 @@
 //
 // Each reference recomputes its answer from scratch (BFS over an explicit
 // edge list, O(V·E) and proudly so) on every query, sharing no code with
-// the production structures it checks — DisjointSet-backed
-// FingerprintGraph, the HDT DynamicConnectivity, and
-// ExpiringFingerprintGraph. A divergence under a randomized op sequence is
-// therefore a real bug in one of the two sides, never a shared one.
+// the production structures it checks — FingerprintGraph and
+// ExpiringFingerprintGraph, both DisjointSet-backed. A divergence under a
+// randomized op sequence is therefore a real bug in one of the two sides,
+// never a shared one.
 //
 // The one deliberately shared artifact is the *canonical checksum spec*:
 // RefBipartiteGraph::component_checksum() re-implements the documented
@@ -70,33 +70,6 @@ class RefBipartiteGraph {
   // (user, digest) -> newest timestamp. Ordered map: iteration order is
   // deterministic, so every recompute walks edges identically.
   std::map<std::pair<std::uint32_t, util::Digest>, std::uint64_t> edges_;
-};
-
-/// Reference for DynamicConnectivity: an explicit undirected edge set over
-/// a fixed vertex count, with BFS connectivity per query.
-class RefConnectivity {
- public:
-  explicit RefConnectivity(std::size_t n) : adjacency_(n) {}
-
-  [[nodiscard]] std::size_t vertex_count() const { return adjacency_.size(); }
-  [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
-  [[nodiscard]] std::size_t component_count() const;
-
-  /// Same no-op semantics as the production structure: false on self-loops
-  /// and duplicates (insert) or absent edges (delete).
-  bool insert_edge(std::uint32_t u, std::uint32_t v);
-  bool delete_edge(std::uint32_t u, std::uint32_t v);
-
-  [[nodiscard]] bool has_edge(std::uint32_t u, std::uint32_t v) const;
-  [[nodiscard]] bool connected(std::uint32_t u, std::uint32_t v) const;
-  [[nodiscard]] std::size_t component_size(std::uint32_t u) const;
-
- private:
-  /// BFS from `start`, returning the reached vertex set.
-  [[nodiscard]] std::vector<std::uint32_t> reach(std::uint32_t start) const;
-
-  std::vector<std::vector<std::uint32_t>> adjacency_;
-  std::size_t edge_count_ = 0;
 };
 
 /// One step of a randomized collation workload.

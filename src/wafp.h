@@ -10,8 +10,8 @@
 //   platform   -> the simulated browser/device population
 //   fingerprint-> the paper's 7 vectors (+ extensions), render cache,
 //                 fickleness model
-//   collation  -> the paper's user<->fingerprint graph (+ dynamic
-//                 connectivity / expiring variant)
+//   collation  -> the paper's user<->fingerprint graph (+ expiring
+//                 variant)
 //   analysis   -> entropy, AMI, anonymity sets
 //   study      -> dataset collection and every paper experiment
 #pragma once
@@ -58,10 +58,9 @@
 #include "fingerprint/render_cache.h"  // IWYU pragma: export
 #include "fingerprint/vector.h"        // IWYU pragma: export
 
-#include "collation/disjoint_set.h"          // IWYU pragma: export
-#include "collation/dynamic_connectivity.h"  // IWYU pragma: export
-#include "collation/expiring_graph.h"        // IWYU pragma: export
-#include "collation/fingerprint_graph.h"     // IWYU pragma: export
+#include "collation/disjoint_set.h"       // IWYU pragma: export
+#include "collation/expiring_graph.h"     // IWYU pragma: export
+#include "collation/fingerprint_graph.h"  // IWYU pragma: export
 
 #include "analysis/ami.h"        // IWYU pragma: export
 #include "analysis/anonymity.h"  // IWYU pragma: export
