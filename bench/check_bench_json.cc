@@ -9,6 +9,7 @@
 //   ./build/bench/check_bench_json FILE
 //       [--require KEY]...            top-level key must exist
 //       [--require-min KEY VALUE]     top-level key must be a number >= VALUE
+//       [--require-max KEY VALUE]     top-level key must be a number <= VALUE
 //       [--require-min-parallel KEY VALUE]
 //                                     as --require-min, but SKIPPED (with a
 //                                     note, not a failure) when the file's
@@ -236,6 +237,7 @@ int main(int argc, char** argv) {
   std::string path;
   std::vector<std::string> required_keys;
   std::vector<std::pair<std::string, double>> required_minimums;
+  std::vector<std::pair<std::string, double>> required_maximums;
   std::vector<std::pair<std::string, double>> parallel_minimums;
   std::vector<std::string> metric_prefixes;
   for (int i = 1; i < argc; ++i) {
@@ -244,6 +246,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--require-min") == 0 && i + 2 < argc) {
       const char* key = argv[++i];
       required_minimums.emplace_back(key, std::strtod(argv[++i], nullptr));
+    } else if (std::strcmp(argv[i], "--require-max") == 0 && i + 2 < argc) {
+      const char* key = argv[++i];
+      required_maximums.emplace_back(key, std::strtod(argv[++i], nullptr));
     } else if (std::strcmp(argv[i], "--require-min-parallel") == 0 &&
                i + 2 < argc) {
       const char* key = argv[++i];
@@ -255,6 +260,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s FILE [--require KEY]... "
                    "[--require-min KEY VALUE]... "
+                   "[--require-max KEY VALUE]... "
                    "[--require-min-parallel KEY VALUE]... "
                    "[--require-metric-prefix P]...\n",
                    argv[0]);
@@ -327,28 +333,37 @@ int main(int argc, char** argv) {
     }
   }
 
-  for (const auto& [key, minimum] : required_minimums) {
+  // One numeric bound per entry: the key must exist, be a number, and sit
+  // on the allowed side of the bound.
+  const auto check_bound = [&](const std::string& key, double bound,
+                               bool is_minimum) {
     const auto it = root->members.find(key);
     if (it == root->members.end()) {
       std::fprintf(stderr, "%s: missing required key \"%s\"\n", path.c_str(),
                    key.c_str());
       ++failures;
-      continue;
+      return;
     }
     if (it->second->type != JsonValue::Type::kNumber) {
       std::fprintf(stderr, "%s: key \"%s\" is not a number\n", path.c_str(),
                    key.c_str());
       ++failures;
-      continue;
+      return;
     }
     const double value = std::strtod(it->second->text.c_str(), nullptr);
-    if (!(value >= minimum)) {
-      std::fprintf(stderr, "%s: key \"%s\" = %s is below the required "
-                   "minimum %g\n",
+    if (!(is_minimum ? value >= bound : value <= bound)) {
+      std::fprintf(stderr, "%s: key \"%s\" = %s is %s the required %s %g\n",
                    path.c_str(), key.c_str(), it->second->text.c_str(),
-                   minimum);
+                   is_minimum ? "below" : "above",
+                   is_minimum ? "minimum" : "maximum", bound);
       ++failures;
     }
+  };
+  for (const auto& [key, minimum] : required_minimums) {
+    check_bound(key, minimum, /*is_minimum=*/true);
+  }
+  for (const auto& [key, maximum] : required_maximums) {
+    check_bound(key, maximum, /*is_minimum=*/false);
   }
 
   if (!metric_prefixes.empty()) {

@@ -194,10 +194,17 @@ int main(int argc, char** argv) {
           effective_parallelism, runs.front().second.total() / t.total());
     }
   }
-  std::printf("  parity=%s  speedup(%zut vs 1t)=%.2fx%s  effective=%.2fx\n",
-              parity_ok ? "ok" : "MISMATCH", runs.back().first, speedup,
-              speedup_valid ? "" : " [invalid: oversubscribed host]",
-              effective_parallelism);
+  // Share of the widest run spent in Fig. 5 (cluster agreement, i.e. AMI):
+  // a hardware-independent ratio CI can put a ceiling on.
+  const StageTimes& widest = runs.back().second;
+  const double fig5_share =
+      widest.total() > 0.0 ? widest.fig5 / widest.total() : 0.0;
+  std::printf(
+      "  parity=%s  speedup(%zut vs 1t)=%.2fx%s  effective=%.2fx  "
+      "fig5_share=%.4f\n",
+      parity_ok ? "ok" : "MISMATCH", runs.back().first, speedup,
+      speedup_valid ? "" : " [invalid: oversubscribed host]",
+      effective_parallelism, fig5_share);
 
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (!out) {
@@ -234,6 +241,7 @@ int main(int argc, char** argv) {
                speedup_valid ? "true" : "false");
   std::fprintf(out, "  \"effective_parallelism\": %.4f,\n",
                effective_parallelism);
+  std::fprintf(out, "  \"fig5_share\": %.6f,\n", fig5_share);
   // Per-stage observability block: the same registry the pipeline recorded
   // into while running (render/cache/collect histograms and counters).
   std::fprintf(out, "  \"metrics\": %s\n",

@@ -47,7 +47,9 @@ Histogram::Snapshot Histogram::snapshot() const {
     }
     snap.sum += s.sum.load(std::memory_order_relaxed);
     snap.count += s.count.load(std::memory_order_relaxed);
+    snap.max = std::max(snap.max, s.max.load(std::memory_order_relaxed));
   }
+  snap.overflow = snap.counts.back();
   return snap;
 }
 
@@ -55,22 +57,22 @@ double Histogram::Snapshot::quantile(double q) const {
   if (count == 0 || bounds.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   const double target = q * static_cast<double>(count);
+  const auto observed_max = static_cast<double>(max);
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     const std::uint64_t c = counts[i];
     if (c == 0) continue;
     if (static_cast<double>(cum + c) >= target) {
       const double lo = i == 0 ? 0.0 : static_cast<double>(bounds[i - 1]);
-      const double hi = i < bounds.size()
-                            ? static_cast<double>(bounds[i])
-                            : static_cast<double>(bounds.back());
+      const double hi =
+          i < bounds.size() ? static_cast<double>(bounds[i]) : observed_max;
       const double frac =
           (target - static_cast<double>(cum)) / static_cast<double>(c);
-      return lo + frac * (hi - lo);
+      return std::min(lo + frac * (hi - lo), observed_max);
     }
     cum += c;
   }
-  return static_cast<double>(bounds.back());
+  return observed_max;
 }
 
 std::string label(std::string_view key, std::string_view value) {
@@ -332,6 +334,8 @@ std::string MetricsRegistry::render_json() const {
           append_double(out, snap.p95());
           out += ", \"p99\": ";
           append_double(out, snap.p99());
+          out += ", \"overflow\": ";
+          append_u64(out, snap.overflow);
           out += '}';
           break;
         }

@@ -5,7 +5,9 @@
 #include <string>
 
 #include "fingerprint/vector_registry.h"
+#include "util/portable_math.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace wafp::testing {
 
@@ -239,6 +241,41 @@ std::uint64_t brute_force_submission_checksum(
     ref.add_observation(raw.user, digest_from_hex(raw.efp_hex), 0);
   }
   return ref.component_checksum();
+}
+
+// ---------------------------------------------------------------------------
+// RefExpectedMutualInformation
+
+double RefExpectedMutualInformation(const analysis::ContingencyTable& table) {
+  // Vinh et al. (2009), Eq. for E[MI] under the hypergeometric model:
+  // sum over all (i, j) and all feasible nij of
+  //   (nij/N) * ln(N*nij / (a_i*b_j)) * P_hypergeometric(nij; N, a_i, b_j).
+  const std::size_t n = table.total;
+  const auto nd = static_cast<double>(n);
+  const double ln_n_fact = util::ln_factorial(n);
+
+  double emi = 0.0;
+  for (const std::size_t ai : table.row_sums) {
+    for (const std::size_t bj : table.col_sums) {
+      const std::size_t lo =
+          ai + bj > n ? ai + bj - n : std::size_t{1};
+      const std::size_t hi = std::min(ai, bj);
+      for (std::size_t nij = std::max<std::size_t>(lo, 1); nij <= hi; ++nij) {
+        const double term1 = static_cast<double>(nij) / nd;
+        const double term2 =
+            util::portable_log(nd * static_cast<double>(nij) /
+                     (static_cast<double>(ai) * static_cast<double>(bj)));
+        const double ln_p =
+            util::ln_factorial(ai) + util::ln_factorial(bj) +
+            util::ln_factorial(n - ai) + util::ln_factorial(n - bj) -
+            ln_n_fact - util::ln_factorial(nij) -
+            util::ln_factorial(ai - nij) - util::ln_factorial(bj - nij) -
+            util::ln_factorial(n - ai - bj + nij);
+        emi += term1 * term2 * util::portable_exp(ln_p);
+      }
+    }
+  }
+  return emi;
 }
 
 }  // namespace wafp::testing

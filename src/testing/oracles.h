@@ -1,4 +1,4 @@
-// Brute-force reference oracles for the collation layer.
+// Brute-force reference oracles for the collation and analysis layers.
 //
 // Each reference recomputes its answer from scratch (BFS over an explicit
 // edge list, O(V·E) and proudly so) on every query, sharing no code with
@@ -15,6 +15,10 @@
 // fnv1a64("partition")) so the two sides can be compared through a single
 // 64-bit witness — the same witness the collation service uses for
 // crash-recovery parity.
+//
+// RefExpectedMutualInformation is the analysis-layer reference: the Vinh
+// et al. expectation as a plain per-(row, column) triple loop with every
+// ln n! evaluated in place. Simple, not for performance.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/ami.h"
 #include "collation/expiring_graph.h"
 #include "service/types.h"
 #include "util/hash.h"
@@ -108,5 +113,11 @@ struct CollationOp {
 [[nodiscard]] std::uint64_t brute_force_submission_checksum(
     std::span<const service::RawSubmission> trace,
     std::uint64_t drop_every = 0);
+
+/// Expected mutual information (natural log) under the hypergeometric
+/// model, summed over every (row, column) pair of `table` and every
+/// feasible n_ij. The oracle for analysis::expected_mutual_information.
+[[nodiscard]] double RefExpectedMutualInformation(
+    const analysis::ContingencyTable& table);
 
 }  // namespace wafp::testing

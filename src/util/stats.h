@@ -26,10 +26,14 @@ template <typename T>
   return counts;
 }
 
-/// log2(n!) via lgamma; used by the expected-mutual-information computation.
+/// log2(n!): ln_factorial(n) divided by ln 2.
 [[nodiscard]] double log_factorial(std::size_t n);
 
-/// Natural-log factorial.
+/// Natural-log factorial from the portable kernels, not libm lgamma:
+/// running portable_log sums for n < 64, a Stirling series above (read
+/// from a table built once for n < 4096). Host lgamma implementations
+/// differ across libms; this one does not, which is why AMI/EMI
+/// (analysis/ami.h) is bit-stable across hosts.
 [[nodiscard]] double ln_factorial(std::size_t n);
 
 }  // namespace wafp::util

@@ -23,6 +23,19 @@ TEST(ContingencyTest, BuildsCorrectTable) {
   EXPECT_EQ(table.cells[1][0], 1u);
 }
 
+TEST(ContingencyDeathTest, LengthMismatchAbortsInEveryBuild) {
+  // A WAFP_CHECK, not a DCHECK: a release build must not read past the end
+  // of the shorter vector and fold garbage into AMI.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<int> a = {0, 0, 1, 1, 2};
+  const std::vector<int> b = {0, 1, 1};
+  EXPECT_DEATH((void)build_contingency(a, b),
+               "WAFP_CHECK failed: a.size\\(\\) == b.size\\(\\) at "
+               ".*ami\\.cc:[0-9]+: label vectors differ in length: 5 vs 3");
+  EXPECT_DEATH((void)adjusted_mutual_information(b, a),
+               "label vectors differ in length: 3 vs 5");
+}
+
 TEST(MutualInformationTest, IdenticalClusteringsEqualEntropy) {
   const std::vector<int> a = {0, 0, 1, 1, 2, 2};
   const ContingencyTable table = build_contingency(a, a);

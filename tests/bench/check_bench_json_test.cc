@@ -1,10 +1,11 @@
-// check_bench_json's CLI contract for the parallel-speedup gate: a
+// check_bench_json's CLI contract for its numeric gates. A
 // --require-min-parallel floor is enforced exactly like --require-min when
 // the bench file records hardware_concurrency >= 2, and is SKIPPED — with
 // a visible note, exit 0 — when the bench ran on a single-core host, where
-// any speedup figure is timeslicing noise. Exercised end-to-end through
-// the real binary (path baked in by tests/CMakeLists.txt) because the gate
-// is a CI shell step, not a library call.
+// any speedup figure is timeslicing noise. --require-max is the ceiling
+// twin of --require-min (inclusive, the key must exist). Exercised
+// end-to-end through the real binary (path baked in by tests/CMakeLists.txt)
+// because the gate is a CI shell step, not a library call.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -109,6 +110,34 @@ TEST(CheckBenchJsonTest, RequiredKeysStillCheckedAlongsideSkip) {
   EXPECT_EQ(result.exit_code, 1) << result.output;
   EXPECT_NE(result.output.find("missing required key"), std::string::npos)
       << result.output;
+}
+
+TEST(CheckBenchJsonTest, RequireMaxPassesAtOrBelowCeiling) {
+  const CheckerResult result = run_checker(
+      R"({"benchmark": "parallel_pipeline", "fig5_share": 0.02})",
+      "--require-max fig5_share 0.05", "max_pass");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  const CheckerResult equal = run_checker(
+      R"({"benchmark": "parallel_pipeline", "fig5_share": 0.05})",
+      "--require-max fig5_share 0.05", "max_equal");
+  EXPECT_EQ(equal.exit_code, 0) << equal.output;
+}
+
+TEST(CheckBenchJsonTest, RequireMaxFailsAboveCeiling) {
+  const CheckerResult above = run_checker(
+      R"({"benchmark": "parallel_pipeline", "fig5_share": 0.63})",
+      "--require-max fig5_share 0.05", "max_fail");
+  EXPECT_EQ(above.exit_code, 1) << above.output;
+  EXPECT_NE(above.output.find("above the required maximum"),
+            std::string::npos)
+      << above.output;
+
+  const CheckerResult missing = run_checker(
+      R"({"benchmark": "parallel_pipeline"})",
+      "--require-max fig5_share 0.05", "max_missing");
+  EXPECT_EQ(missing.exit_code, 1) << missing.output;
+  EXPECT_NE(missing.output.find("missing required key"), std::string::npos)
+      << missing.output;
 }
 
 }  // namespace

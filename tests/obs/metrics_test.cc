@@ -66,9 +66,11 @@ TEST(HistogramTest, QuantileInterpolatesWithinBucket) {
   Histogram h(bounds);
   for (int i = 0; i < 10; ++i) h.observe(1);  // all in the first bucket
   const auto snap = h.snapshot();
-  // Linear interpolation across [0, 100] with all mass in one bucket.
-  EXPECT_DOUBLE_EQ(snap.p50(), 50.0);
-  EXPECT_DOUBLE_EQ(snap.quantile(0.99), 99.0);
+  // Linear interpolation across [0, 100] would say 50 and 99; no quantile
+  // may exceed the largest value actually observed.
+  EXPECT_EQ(snap.max, 1u);
+  EXPECT_DOUBLE_EQ(snap.p50(), 1.0);
+  EXPECT_DOUBLE_EQ(snap.quantile(0.99), 1.0);
   EXPECT_DOUBLE_EQ(snap.quantile(0.0), 0.0);
 }
 
@@ -87,14 +89,45 @@ TEST(HistogramTest, QuantileWalksCumulativeBuckets) {
   EXPECT_NEAR(snap.quantile(0.95), 25.0, 1e-9);
 }
 
-TEST(HistogramTest, OverflowSaturatesAtLastFiniteBound) {
+TEST(HistogramTest, OverflowInterpolatesUpToObservedMax) {
   const std::array<std::uint64_t, 2> bounds = {10, 20};
   Histogram h(bounds);
   h.observe(1000);
   h.observe(2000);
   const auto snap = h.snapshot();
-  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 20.0);
-  EXPECT_DOUBLE_EQ(snap.p50(), 20.0);
+  // Both land above the last bound: the overflow is counted, and the
+  // bucket spans (20, 2000] instead of saturating at 20.
+  EXPECT_EQ(snap.overflow, 2u);
+  EXPECT_EQ(snap.max, 2000u);
+  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 2000.0);
+  EXPECT_DOUBLE_EQ(snap.p50(), 20.0 + 0.5 * (2000.0 - 20.0));
+}
+
+TEST(HistogramTest, WideBucketQuantileStaysAtOrBelowMax) {
+  // A single 1.5 s observation lands in the default ladder's 1 s -> 5 s
+  // bucket; interpolating across the bucket used to report p50 = 3e9.
+  Histogram h(MetricsRegistry::default_latency_bounds_ns());
+  h.observe(1'500'000'000ULL);
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.overflow, 0u);
+  EXPECT_LE(snap.p50(), 1.5e9);
+  EXPECT_LE(snap.p99(), 1.5e9);
+  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 1.5e9);
+}
+
+TEST(HistogramTest, MaxIsTrackedAcrossShards) {
+  const std::array<std::uint64_t, 1> bounds = {10};
+  Histogram h(bounds);
+  std::vector<std::thread> workers;
+  for (std::uint64_t t = 1; t <= 8; ++t) {
+    workers.emplace_back([&h, t] {
+      for (std::uint64_t i = 1; i <= 1000; ++i) h.observe(t * i);
+    });
+  }
+  for (auto& w : workers) w.join();
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.max, 8000u);
+  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 8000.0);
 }
 
 TEST(HistogramTest, EmptyHistogramReportsZeroQuantiles) {
@@ -207,6 +240,7 @@ TEST(RegistryTest, JsonExportFlattensUnlabeledScalars) {
   EXPECT_NE(json.find("\"wafp_c_ns\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"count\": 1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p50\": 50"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"overflow\": 0}"), std::string::npos) << json;
 }
 
 TEST(RegistryTest, JsonExportHandlesZeroObservationHistograms) {
@@ -220,7 +254,7 @@ TEST(RegistryTest, JsonExportHandlesZeroObservationHistograms) {
   EXPECT_NE(json.find("\"wafp_empty_ns\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"vector=\\\"dc\\\"\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"count\": 0, \"sum\": 0, \"p50\": 0, \"p95\": 0, "
-                      "\"p99\": 0"),
+                      "\"p99\": 0, \"overflow\": 0"),
             std::string::npos)
       << json;
   EXPECT_EQ(json.find("nan"), std::string::npos) << json;

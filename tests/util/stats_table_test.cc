@@ -42,6 +42,16 @@ TEST(StatsTest, LogFactorial) {
   EXPECT_NEAR(log_factorial(10), std::log2(3628800.0), 1e-9);
 }
 
+TEST(StatsTest, LnFactorialStepsByLnNAcrossTableEdges) {
+  // ln n! - ln (n-1)! = ln n, across the running-sum/Stirling switch at 64
+  // and the end of the precomputed table at 4096.
+  for (const std::size_t n : {63u, 64u, 65u, 2093u, 4095u, 4096u, 4097u}) {
+    EXPECT_NEAR(ln_factorial(n) - ln_factorial(n - 1),
+                std::log(static_cast<double>(n)), 1e-9)
+        << n;
+  }
+}
+
 TEST(TextTableTest, RendersAlignedColumns) {
   TextTable table({"Name", "Value"});
   table.add_row({"alpha", "1"});
