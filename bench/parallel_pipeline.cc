@@ -8,7 +8,9 @@
 //
 // --smoke shrinks the study and the thread sweep for CI. The run also
 // cross-checks the determinism contract: every thread count must produce a
-// dataset with the same digest checksum as the serial run.
+// dataset with the same digest checksum as the serial run, from the same
+// number of engine renders. render_pass_share (engine renders / render
+// classes) shows how many classes each (stack, vector) render serves.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "dsp/simd.h"
 #include "fingerprint/vector_registry.h"
 #include "obs/metrics.h"
 #include "study/dataset.h"
@@ -58,6 +61,8 @@ struct StageTimes {
   double fig5 = 0.0;
   double table6 = 0.0;
   std::uint64_t checksum = 0;
+  std::uint64_t render_passes = 0;   // engine renders during collect
+  std::uint64_t render_classes = 0;  // (stack, vector, jitter) classes
 
   [[nodiscard]] double total() const {
     return collect + table1 + table2 + fig5 + table6;
@@ -69,10 +74,19 @@ StageTimes run_pipeline(StudyConfig cfg, std::size_t threads) {
   util::ThreadPool::set_shared_threads(threads);
   StageTimes t;
 
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const std::uint64_t renders_before =
+      registry.counter("wafp_render_total").value();
+  const std::uint64_t classes_before =
+      registry.counter("wafp_cache_misses_total").value();
   auto start = Clock::now();
   const Dataset ds = Dataset::collect(cfg);
   t.collect = seconds_since(start);
   t.checksum = dataset_checksum(ds);
+  t.render_passes =
+      registry.counter("wafp_render_total").value() - renders_before;
+  t.render_classes =
+      registry.counter("wafp_cache_misses_total").value() - classes_before;
 
   start = Clock::now();
   volatile std::size_t sink = study::table1_stability(ds).size();
@@ -162,17 +176,33 @@ int main(int argc, char** argv) {
     const bool oversubscribed = hardware != 0 && threads > hardware;
     std::printf(
         "  threads=%zu%s  collect=%.3fs table1=%.3fs table2=%.3fs "
-        "fig5=%.3fs table6=%.3fs total=%.3fs checksum=%016llx\n",
+        "fig5=%.3fs table6=%.3fs total=%.3fs checksum=%016llx "
+        "renders=%llu/%llu classes\n",
         threads, oversubscribed ? " (oversubscribed)" : "", t.collect,
         t.table1, t.table2, t.fig5, t.table6, t.total(),
-        static_cast<unsigned long long>(t.checksum));
+        static_cast<unsigned long long>(t.checksum),
+        static_cast<unsigned long long>(t.render_passes),
+        static_cast<unsigned long long>(t.render_classes));
     runs.emplace_back(threads, t);
   }
 
   bool parity_ok = true;
+  bool renders_equal = true;
   for (const auto& [threads, t] : runs) {
     if (t.checksum != runs.front().second.checksum) parity_ok = false;
+    if (t.render_passes != runs.front().second.render_passes ||
+        t.render_classes != runs.front().second.render_classes) {
+      renders_equal = false;
+    }
   }
+  // Engine renders per render class: one render per (stack, vector) group
+  // serves every jitter state of that group, so this sits well below 1.
+  const StageTimes& serial = runs.front().second;
+  const double render_pass_share =
+      serial.render_classes > 0
+          ? static_cast<double>(serial.render_passes) /
+                static_cast<double>(serial.render_classes)
+          : 0.0;
   const double speedup =
       runs.back().second.total() > 0.0
           ? runs.front().second.total() / runs.back().second.total()
@@ -200,11 +230,13 @@ int main(int argc, char** argv) {
   const double fig5_share =
       widest.total() > 0.0 ? widest.fig5 / widest.total() : 0.0;
   std::printf(
-      "  parity=%s  speedup(%zut vs 1t)=%.2fx%s  effective=%.2fx  "
-      "fig5_share=%.4f\n",
-      parity_ok ? "ok" : "MISMATCH", runs.back().first, speedup,
+      "  parity=%s  renders=%s  speedup(%zut vs 1t)=%.2fx%s  "
+      "effective=%.2fx  fig5_share=%.4f  render_pass_share=%.4f\n",
+      parity_ok ? "ok" : "MISMATCH",
+      renders_equal ? "equal" : "DIFFER across thread counts",
+      runs.back().first, speedup,
       speedup_valid ? "" : " [invalid: oversubscribed host]",
-      effective_parallelism, fig5_share);
+      effective_parallelism, fig5_share, render_pass_share);
 
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (!out) {
@@ -218,6 +250,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"hardware_threads\": %zu,\n",
                util::default_thread_count());
   std::fprintf(out, "  \"hardware_concurrency\": %u,\n", hardware);
+  std::fprintf(out, "  \"simd_backend\": \"%s\",\n",
+               std::string(dsp::to_string(dsp::active_simd_backend())).c_str());
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"parity_ok\": %s,\n", parity_ok ? "true" : "false");
   std::fprintf(out, "  \"runs\": [\n");
@@ -229,9 +263,12 @@ int main(int argc, char** argv) {
                  "\"collect_s\": %.6f, "
                  "\"table1_s\": %.6f, \"table2_s\": %.6f, \"fig5_s\": %.6f, "
                  "\"table6_s\": %.6f, \"total_s\": %.6f, "
+                 "\"render_passes\": %llu, \"render_classes\": %llu, "
                  "\"dataset_checksum\": \"%016llx\"}%s\n",
                  threads, oversubscribed ? "true" : "false", t.collect,
                  t.table1, t.table2, t.fig5, t.table6, t.total(),
+                 static_cast<unsigned long long>(t.render_passes),
+                 static_cast<unsigned long long>(t.render_classes),
                  static_cast<unsigned long long>(t.checksum),
                  i + 1 < runs.size() ? "," : "");
   }
@@ -242,6 +279,11 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"effective_parallelism\": %.4f,\n",
                effective_parallelism);
   std::fprintf(out, "  \"fig5_share\": %.6f,\n", fig5_share);
+  std::fprintf(out, "  \"render_passes\": %llu,\n",
+               static_cast<unsigned long long>(serial.render_passes));
+  std::fprintf(out, "  \"render_classes\": %llu,\n",
+               static_cast<unsigned long long>(serial.render_classes));
+  std::fprintf(out, "  \"render_pass_share\": %.6f,\n", render_pass_share);
   // Per-stage observability block: the same registry the pipeline recorded
   // into while running (render/cache/collect histograms and counters).
   std::fprintf(out, "  \"metrics\": %s\n",
@@ -249,5 +291,5 @@ int main(int argc, char** argv) {
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
-  return parity_ok ? 0 : 1;
+  return parity_ok && renders_equal ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <unordered_map>
 
 #include "util/check.h"
@@ -59,14 +60,27 @@ ContingencyTable build_contingency(std::span<const int> a,
   const std::vector<int> db = densify(b, kb);
 
   ContingencyTable table;
-  table.cells.assign(ka, std::vector<std::size_t>(kb, 0));
   table.row_sums.assign(ka, 0);
   table.col_sums.assign(kb, 0);
   table.total = a.size();
+  // Sorting (row, col) pairs packed row-major into one key groups equal
+  // cells and leaves them in (row, col) order.
+  std::vector<std::uint64_t> keys(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ++table.cells[da[i]][db[i]];
     ++table.row_sums[da[i]];
     ++table.col_sums[db[i]];
+    keys[i] = (static_cast<std::uint64_t>(da[i]) << 32) |
+              static_cast<std::uint32_t>(db[i]);
+  }
+  std::sort(keys.begin(), keys.end());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0 && keys[i] == keys[i - 1]) {
+      ++table.cells.back().count;
+    } else {
+      table.cells.push_back({static_cast<std::size_t>(keys[i] >> 32),
+                             static_cast<std::size_t>(keys[i] & 0xFFFFFFFFu),
+                             1});
+    }
   }
   return table;
 }
@@ -74,15 +88,11 @@ ContingencyTable build_contingency(std::span<const int> a,
 double mutual_information(const ContingencyTable& table) {
   const auto n = static_cast<double>(table.total);
   double mi = 0.0;
-  for (std::size_t i = 0; i < table.row_sums.size(); ++i) {
-    for (std::size_t j = 0; j < table.col_sums.size(); ++j) {
-      const std::size_t nij = table.cells[i][j];
-      if (nij == 0) continue;
-      const double pij = static_cast<double>(nij) / n;
-      const double pi = static_cast<double>(table.row_sums[i]) / n;
-      const double pj = static_cast<double>(table.col_sums[j]) / n;
-      mi += pij * util::portable_log(pij / (pi * pj));
-    }
+  for (const ContingencyCell& cell : table.cells) {
+    const double pij = static_cast<double>(cell.count) / n;
+    const double pi = static_cast<double>(table.row_sums[cell.row]) / n;
+    const double pj = static_cast<double>(table.col_sums[cell.col]) / n;
+    mi += pij * util::portable_log(pij / (pi * pj));
   }
   return std::max(0.0, mi);
 }

@@ -5,14 +5,29 @@
 // taken under the hypergeometric (permutation) model.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace wafp::analysis {
 
-/// Contingency table between two label vectors of equal length.
+/// One nonzero cell of a contingency table: `count` items carry dense
+/// label `row` in the first vector and `col` in the second.
+struct ContingencyCell {
+  std::size_t row = 0;
+  std::size_t col = 0;
+  std::size_t count = 0;
+
+  friend bool operator==(const ContingencyCell&,
+                         const ContingencyCell&) = default;
+};
+
+/// Contingency table between two label vectors of equal length, stored
+/// sparsely: at most one cell per item, so building and walking it is
+/// O(N log N) however many clusters either side has. Labels are densified
+/// to 0..k-1 in order of first appearance.
 struct ContingencyTable {
-  std::vector<std::vector<std::size_t>> cells;  // [cluster_a][cluster_b]
+  std::vector<ContingencyCell> cells;  // nonzero only, sorted by (row, col)
   std::vector<std::size_t> row_sums;
   std::vector<std::size_t> col_sums;
   std::size_t total = 0;

@@ -12,6 +12,7 @@
 
 #include "fingerprint/vector.h"
 #include "fingerprint/vector_registry.h"
+#include "util/check.h"
 #include "webaudio/analyser_node.h"
 #include "webaudio/channel_merger_node.h"
 #include "webaudio/dynamics_compressor_node.h"
@@ -40,13 +41,6 @@ using webaudio::ScriptProcessorNode;
 constexpr double kSampleRate = 44100.0;
 constexpr std::size_t kRenderFrames = 44100;  // 1 second
 constexpr std::size_t kScriptBufferFrames = 2048;
-
-EngineConfig config_for(const platform::PlatformProfile& profile,
-                        const webaudio::RenderJitter& jitter) {
-  EngineConfig cfg = profile.make_engine_config();
-  cfg.jitter = jitter;
-  return cfg;
-}
 
 /// The paper's Custom Signal coefficients: "an array of 12 real and
 /// imaginary values ... real values randomly selected between 0 and 1 and
@@ -81,11 +75,9 @@ class DcVector final : public AudioFingerprintVector {
   VectorId id() const override { return VectorId::kDc; }
   double jitter_susceptibility() const override { return 0.0; }
 
-  util::Digest run(const platform::PlatformProfile& profile,
-                   const webaudio::RenderJitter& jitter,
-                   std::vector<float>* capture) const override {
-    OfflineAudioContext ctx(1, kRenderFrames, kSampleRate,
-                            config_for(profile, jitter));
+  void render_taps(OfflineAudioContext& ctx,
+                   std::span<const webaudio::RenderJitter> /*jitters*/,
+                   std::span<DigestTap> taps) const override {
     auto& osc = ctx.create<OscillatorNode>(OscillatorType::kTriangle);
     osc.frequency().set_value(10000.0);
     auto& compressor = ctx.create<DynamicsCompressorNode>();
@@ -94,9 +86,7 @@ class DcVector final : public AudioFingerprintVector {
     osc.start(0.0);
 
     const webaudio::AudioBuffer rendered = ctx.start_rendering();
-    DigestTap tap(name(), capture);
-    tap.write(rendered.channel(0));
-    return tap.finish();
+    write_all(taps, rendered.channel(0));
   }
 };
 
@@ -108,14 +98,13 @@ class FftVector final : public AudioFingerprintVector {
   VectorId id() const override { return VectorId::kFft; }
   double jitter_susceptibility() const override { return 0.75; }
 
-  util::Digest run(const platform::PlatformProfile& profile,
-                   const webaudio::RenderJitter& jitter,
-                   std::vector<float>* capture) const override {
-    OfflineAudioContext ctx(1, kRenderFrames, kSampleRate,
-                            config_for(profile, jitter));
+  void render_taps(OfflineAudioContext& ctx,
+                   std::span<const webaudio::RenderJitter> jitters,
+                   std::span<DigestTap> taps) const override {
     auto& osc = ctx.create<OscillatorNode>(OscillatorType::kTriangle);
     osc.frequency().set_value(10000.0);
     auto& analyser = ctx.create<AnalyserNode>();
+    analyser.set_readers(jitters);
     auto& script = ctx.create<ScriptProcessorNode>(kScriptBufferFrames);
     auto& mute = ctx.create<GainNode>();
     mute.gain().set_value(0.0);
@@ -126,15 +115,12 @@ class FftVector final : public AudioFingerprintVector {
     mute.connect(ctx.destination());
     osc.start(0.0);
 
-    DigestTap tap(name(), capture);
     std::vector<float> freq(analyser.frequency_bin_count());
     script.set_on_audio_process(
         [&](std::span<const float> /*block*/, std::size_t /*frame*/) {
-          analyser.get_float_frequency_data(freq);
-          tap.write(freq);
+          write_spectra(analyser, freq, taps);
         });
     (void)ctx.start_rendering();
-    return tap.finish();
   }
 };
 
@@ -144,13 +130,12 @@ class FftVector final : public AudioFingerprintVector {
 /// (the "DC half") and the analyser's spectra (the "FFT half").
 class HybridFamilyVector : public AudioFingerprintVector {
  public:
-  util::Digest run(const platform::PlatformProfile& profile,
-                   const webaudio::RenderJitter& jitter,
-                   std::vector<float>* capture) const override {
-    OfflineAudioContext ctx(1, kRenderFrames, kSampleRate,
-                            config_for(profile, jitter));
+  void render_taps(OfflineAudioContext& ctx,
+                   std::span<const webaudio::RenderJitter> jitters,
+                   std::span<DigestTap> taps) const override {
     const std::size_t channels = signal_channels();
     auto& analyser = ctx.create<AnalyserNode>(channels);
+    analyser.set_readers(jitters);
     auto& compressor = ctx.create<DynamicsCompressorNode>(channels);
     auto& script = ctx.create<ScriptProcessorNode>(kScriptBufferFrames,
                                                    channels);
@@ -164,16 +149,13 @@ class HybridFamilyVector : public AudioFingerprintVector {
     script.connect(mute);
     mute.connect(ctx.destination());
 
-    DigestTap tap(name(), capture);
     std::vector<float> freq(analyser.frequency_bin_count());
     script.set_on_audio_process(
         [&](std::span<const float> block, std::size_t /*frame*/) {
-          tap.write(block);  // compressor output (time domain)
-          analyser.get_float_frequency_data(freq);
-          tap.write(freq);
+          write_all(taps, block);  // compressor output (time domain)
+          write_spectra(analyser, freq, taps);
         });
     (void)ctx.start_rendering();
-    return tap.finish();
   }
 
  protected:
@@ -307,6 +289,51 @@ class FmVector final : public HybridFamilyVector {
 };
 
 }  // namespace
+
+void AudioFingerprintVector::run_states(
+    const platform::PlatformProfile& profile,
+    std::span<const webaudio::RenderJitter> jitters,
+    std::span<util::Digest> digests,
+    std::span<std::vector<float>* const> captures) const {
+  WAFP_CHECK(!jitters.empty() && digests.size() == jitters.size() &&
+             (captures.empty() || captures.size() == jitters.size()))
+      << "run_states: " << jitters.size() << " states, " << digests.size()
+      << " digests, " << captures.size() << " captures";
+  std::vector<DigestTap> taps;
+  taps.reserve(jitters.size());
+  for (std::size_t i = 0; i < jitters.size(); ++i) {
+    taps.emplace_back(name(), captures.empty() ? nullptr : captures[i]);
+  }
+  OfflineAudioContext ctx(1, kRenderFrames, kSampleRate,
+                          profile.make_engine_config());
+  render_taps(ctx, jitters, taps);
+  for (std::size_t i = 0; i < taps.size(); ++i) digests[i] = taps[i].finish();
+}
+
+util::Digest AudioFingerprintVector::run(
+    const platform::PlatformProfile& profile,
+    const webaudio::RenderJitter& jitter,
+    std::vector<float>* capture) const {
+  util::Digest digest;
+  std::vector<float>* const captures[] = {capture};
+  run_states(profile, std::span<const webaudio::RenderJitter>(&jitter, 1),
+             std::span<util::Digest>(&digest, 1), captures);
+  return digest;
+}
+
+void AudioFingerprintVector::write_all(std::span<DigestTap> taps,
+                                       std::span<const float> samples) {
+  for (DigestTap& tap : taps) tap.write(samples);
+}
+
+void AudioFingerprintVector::write_spectra(webaudio::AnalyserNode& analyser,
+                                           std::span<float> freq,
+                                           std::span<DigestTap> taps) {
+  for (std::size_t r = 0; r < taps.size(); ++r) {
+    analyser.get_float_frequency_data(r, freq);
+    taps[r].write(freq);
+  }
+}
 
 std::string_view to_string(VectorId id) {
   switch (id) {

@@ -1,21 +1,26 @@
 // BatchRenderer: archetype-grouped prewarm of the render cache.
 //
-// A population collect needs one render per distinct (audio stack, vector,
+// A population collect needs one digest per distinct (audio stack, vector,
 // jitter state) class, but the natural user-major iteration order discovers
 // those classes scattered: cold renders interleave with hits, and parallel
 // workers pile onto the same cold keys (dedup waits). The batch path
 // inverts the order — callers enqueue every (vector, profile, jitter)
-// request up front, the renderer deduplicates them into classes, sorts the
-// classes by stack archetype, and renders each exactly once through the
-// shared RenderCache. Grouping by archetype keeps one platform's engine
-// parts (math library, FFT twiddles, wavetable cache — see
+// request up front, the renderer deduplicates them into classes and
+// gathers the classes into (stack, vector) groups, sorted by stack
+// archetype. Each group is one RenderCache::render_group() call: one
+// engine pass yields the digests of all of the group's jitter states, so a
+// collect performs one render per group, not per class (at 2093 users, 882
+// groups carry 2375 classes). Grouping by archetype keeps one platform's
+// engine parts (math library, FFT twiddles, wavetable cache — see
 // PlatformProfile::make_engine_config) hot across consecutive renders, and
-// gives parallel_for contiguous, balanced work. After render_all() the
-// user-major pass is pure cache hits.
+// parallel_for hands out whole groups, so serial and parallel prewarm
+// perform the same renders. After render_all() the user-major pass is pure
+// cache hits.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +32,7 @@ namespace wafp::fingerprint {
 struct BatchRenderStats {
   std::size_t requests = 0;    // request() calls seen
   std::size_t classes = 0;     // distinct render classes enqueued
+  std::size_t groups = 0;      // (stack, vector) groups: one render each
   std::size_t archetypes = 0;  // distinct stack archetypes among them
 };
 
@@ -55,9 +61,10 @@ class BasicBatchRenderer {
                          Request{&vector, &profile});
   }
 
-  /// Render every pending class through the cache, grouped by stack
-  /// archetype. `threads`: 1 = serial, 0 = util::default_thread_count().
-  /// Safe to call repeatedly; each call drains the pending set.
+  /// Render every pending class through the cache, one render_group() per
+  /// (stack, vector) group, groups ordered by stack archetype. `threads`:
+  /// 1 = serial, 0 = util::default_thread_count(). Safe to call repeatedly;
+  /// each call drains the pending set.
   BatchRenderStats render_all(std::size_t threads = 1) {
     struct PendingClass {
       RenderClassKey key;
@@ -84,28 +91,46 @@ class BasicBatchRenderer {
                 return a.key.jitter < b.key.jitter;
               });
 
+    // Group boundaries: consecutive classes of one (stack, vector). The
+    // sort orders by stack hash, so two distinct stacks sharing a hash can
+    // interleave and split a group; that costs a render, never a class.
+    std::vector<std::size_t> group_begin;
+    std::vector<std::uint32_t> states;
+    states.reserve(classes.size());
     BatchRenderStats stats;
     stats.requests = requests_;
     stats.classes = classes.size();
     for (std::size_t i = 0; i < classes.size(); ++i) {
-      if (i == 0 ||
-          classes[i].key.stack_hash != classes[i - 1].key.stack_hash) {
+      const RenderClassKey& key = classes[i].key;
+      const RenderClassKey* prev = i == 0 ? nullptr : &classes[i - 1].key;
+      if (prev == nullptr || key.stack_hash != prev->stack_hash) {
         ++stats.archetypes;
       }
+      if (prev == nullptr || key.vector != prev->vector ||
+          key.stack != prev->stack) {
+        group_begin.push_back(i);
+      }
+      states.push_back(key.jitter);
     }
+    stats.groups = group_begin.size();
+    group_begin.push_back(classes.size());
     requests_ = 0;
 
     auto render_range = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const PendingClass& pc = classes[i];
-        (void)cache_.get(*pc.req.vector, *pc.req.profile, pc.key.jitter);
+      for (std::size_t g = begin; g < end; ++g) {
+        const std::size_t first = group_begin[g];
+        const Request& req = classes[first].req;
+        cache_.render_group(
+            *req.vector, *req.profile,
+            std::span<const std::uint32_t>(states).subspan(
+                first, group_begin[g + 1] - first));
       }
     };
-    if (threads == 1 || classes.empty()) {
-      render_range(0, classes.size());
+    if (threads == 1 || stats.groups == 0) {
+      render_range(0, stats.groups);
     } else {
       util::ThreadPool pool(threads);
-      pool.parallel_for(classes.size(), render_range);
+      pool.parallel_for(stats.groups, render_range);
     }
     return stats;
   }

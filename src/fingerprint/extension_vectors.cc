@@ -28,7 +28,6 @@ namespace {
 using webaudio::AnalyserNode;
 using webaudio::BiquadFilterNode;
 using webaudio::BiquadFilterType;
-using webaudio::EngineConfig;
 using webaudio::GainNode;
 using webaudio::OfflineAudioContext;
 using webaudio::OscillatorNode;
@@ -37,26 +36,14 @@ using webaudio::OverSampleType;
 using webaudio::ScriptProcessorNode;
 using webaudio::WaveShaperNode;
 
-constexpr double kSampleRate = 44100.0;
-constexpr std::size_t kRenderFrames = 44100;
-
-EngineConfig config_for(const platform::PlatformProfile& profile,
-                        const webaudio::RenderJitter& jitter) {
-  EngineConfig cfg = profile.make_engine_config();
-  cfg.jitter = jitter;
-  return cfg;
-}
-
 class FilterSweepVector final : public AudioFingerprintVector {
  public:
   VectorId id() const override { return VectorId::kFilterSweep; }
   double jitter_susceptibility() const override { return 1.20; }
 
-  util::Digest run(const platform::PlatformProfile& profile,
-                   const webaudio::RenderJitter& jitter,
-                   std::vector<float>* capture) const override {
-    OfflineAudioContext ctx(1, kRenderFrames, kSampleRate,
-                            config_for(profile, jitter));
+  void render_taps(OfflineAudioContext& ctx,
+                   std::span<const webaudio::RenderJitter> jitters,
+                   std::span<DigestTap> taps) const override {
     auto& osc = ctx.create<OscillatorNode>(OscillatorType::kSawtooth);
     osc.frequency().set_value(220.0);
     auto& filter = ctx.create<BiquadFilterNode>();
@@ -67,6 +54,7 @@ class FilterSweepVector final : public AudioFingerprintVector {
     // Sweep the centre across the render (exercises coefficient updates).
     filter.frequency().linear_ramp_to_value_at_time(6000.0, 1.0);
     auto& analyser = ctx.create<AnalyserNode>();
+    analyser.set_readers(jitters);
     auto& script = ctx.create<ScriptProcessorNode>(2048);
     auto& mute = ctx.create<GainNode>();
     mute.gain().set_value(0.0);
@@ -77,13 +65,11 @@ class FilterSweepVector final : public AudioFingerprintVector {
     mute.connect(ctx.destination());
     osc.start(0.0);
 
-    DigestTap tap(name(), capture);
     std::vector<float> freq(analyser.frequency_bin_count());
     script.set_on_audio_process(
         [&](std::span<const float> block, std::size_t /*frame*/) {
-          tap.write(block);
-          analyser.get_float_frequency_data(freq);
-          tap.write(freq);
+          write_all(taps, block);
+          write_spectra(analyser, freq, taps);
         });
     (void)ctx.start_rendering();
 
@@ -93,9 +79,8 @@ class FilterSweepVector final : public AudioFingerprintVector {
       probe[i] = static_cast<float>(50.0 * static_cast<double>(i + 1));
     }
     filter.get_frequency_response(probe, mag, phase);
-    tap.write(mag);
-    tap.write(phase);
-    return tap.finish();
+    write_all(taps, mag);
+    write_all(taps, phase);
   }
 };
 
@@ -104,11 +89,9 @@ class DistortionVector final : public AudioFingerprintVector {
   VectorId id() const override { return VectorId::kDistortion; }
   double jitter_susceptibility() const override { return 1.30; }
 
-  util::Digest run(const platform::PlatformProfile& profile,
-                   const webaudio::RenderJitter& jitter,
-                   std::vector<float>* capture) const override {
-    OfflineAudioContext ctx(1, kRenderFrames, kSampleRate,
-                            config_for(profile, jitter));
+  void render_taps(OfflineAudioContext& ctx,
+                   std::span<const webaudio::RenderJitter> jitters,
+                   std::span<DigestTap> taps) const override {
     auto& osc = ctx.create<OscillatorNode>(OscillatorType::kSine);
     osc.frequency().set_value(987.0);
     auto& drive = ctx.create<GainNode>();
@@ -126,6 +109,7 @@ class DistortionVector final : public AudioFingerprintVector {
     }
     shaper.set_curve(std::move(curve));
     auto& analyser = ctx.create<AnalyserNode>();
+    analyser.set_readers(jitters);
     auto& script = ctx.create<ScriptProcessorNode>(2048);
     auto& mute = ctx.create<GainNode>();
     mute.gain().set_value(0.0);
@@ -138,16 +122,13 @@ class DistortionVector final : public AudioFingerprintVector {
     mute.connect(ctx.destination());
     osc.start(0.0);
 
-    DigestTap tap(name(), capture);
     std::vector<float> freq(analyser.frequency_bin_count());
     script.set_on_audio_process(
         [&](std::span<const float> block, std::size_t /*frame*/) {
-          tap.write(block);
-          analyser.get_float_frequency_data(freq);
-          tap.write(freq);
+          write_all(taps, block);
+          write_spectra(analyser, freq, taps);
         });
     (void)ctx.start_rendering();
-    return tap.finish();
   }
 };
 

@@ -9,21 +9,30 @@
 // iteration x 7 vector study tractable (a few hundred renders instead of
 // 440k).
 //
+// One render per group: jitter only reaches the analyser's capture side,
+// so render_group() renders a (stack, vector) graph once and publishes the
+// digests of every requested jitter state from that single engine pass
+// (AudioFingerprintVector::run_states). get() on a cold key is the same
+// path with a one-state group.
+//
 // Concurrency: the cache is striped into kShards mutex-guarded shards
 // selected by the key hash, so parallel collection threads rarely contend
-// on the map itself. Renders happen outside the shard lock under a
-// per-entry std::call_once, so when two threads race on one cold key,
-// exactly one renders and the other waits for that result — concurrent
-// collection performs the same number of renders as serial collection.
-// Returned references stay valid for the cache's lifetime: entries are
-// heap-allocated and never erased.
+// on the map itself. The caller that inserts an entry claims it and
+// renders it outside the shard lock; any other caller that finds the entry
+// still rendering — a get() or a group that overlaps an in-flight group —
+// waits on the shard's condition variable for it (a dedup wait) instead of
+// rendering it again. Every entry is therefore rendered exactly once, and
+// concurrent collection performs the same renders as serial collection.
+// If a render throws, its entries are marked abandoned and the next caller
+// to reach one claims and renders it. Returned references stay valid for
+// the cache's lifetime: entries are heap-allocated and never erased.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <unordered_map>
 
 #include "fingerprint/vector.h"
@@ -82,10 +91,20 @@ class RenderCache {
   /// rendered, get() is a shard-map hit — no allocation, just the shard
   /// lock and counter bumps. wafp_lint's nonallocating check walks this
   /// path from the serve drain; the cold-key miss branch is the audited
-  /// exception (see render_cold).
+  /// exception (see render_claimed).
   const util::Digest& get(const AudioFingerprintVector& vector,
                           const platform::PlatformProfile& profile,
                           std::uint32_t jitter_state);
+
+  /// Make every state in `jitter_states` (chaos-free, distinct) of
+  /// `vector` on `profile`'s stack present: the states not yet cached are
+  /// rendered together in one engine pass and published; states already
+  /// cached are hits, and states another caller is rendering are waited
+  /// for. Returns once every requested state is published. Safe to call
+  /// concurrently with get() and other groups.
+  void render_group(const AudioFingerprintVector& vector,
+                    const platform::PlatformProfile& profile,
+                    std::span<const std::uint32_t> jitter_states);
 
   /// Distinct (stack, vector, jitter) classes seen so far.
   [[nodiscard]] std::size_t entries() const;
@@ -98,40 +117,67 @@ class RenderCache {
   [[nodiscard]] std::size_t misses() const {
     return misses_.load(std::memory_order_relaxed);
   }
+  /// Engine passes performed; each renders one or more entries.
+  [[nodiscard]] std::size_t renders() const {
+    return renders_.load(std::memory_order_relaxed);
+  }
 
  private:
   using Key = RenderClassKey;
   using KeyHash = RenderClassKeyHash;
-  struct Entry;
 
-  /// Cold-key path, run under the entry's once_flag: the render itself
-  /// plus first-touch creation of the per-vector latency histogram. Kept
-  /// out of the nonallocating contract — steady state never reaches it
-  /// (proven by the counter audits in the serve steady-state test).
-  void render_cold(Entry& entry, const AudioFingerprintVector& vector,
-                   const platform::PlatformProfile& profile,
-                   std::uint32_t jitter_state);
-
-  /// Heap-allocated so references survive rehashing and the once_flag has a
-  /// stable address for waiters.
+  /// Heap-allocated so references survive rehashing. `state` and, until
+  /// the entry is ready, `digest` are guarded by the owning shard's mutex;
+  /// once ready the digest is immutable and read without the lock.
   struct Entry {
-    std::once_flag once;
-    /// Set (release) after `digest` is published; a hit that observes
-    /// !ready is about to block on an in-flight render (a dedup wait).
-    std::atomic<bool> ready{false};
+    enum class State : std::uint8_t { kRendering, kReady, kAbandoned };
+    State state = State::kRendering;
     util::Digest digest;
   };
   struct Shard {
     mutable util::Mutex mu;
     /// Entries are pointees, not values: the map (bucket array, rehashing)
-    /// is guarded, while each Entry's digest is published by its once_flag.
+    /// is guarded, and so is each entry's state.
     std::unordered_map<Key, std::unique_ptr<Entry>, KeyHash> map
         WAFP_GUARDED_BY(mu);
+    /// Signalled whenever an entry of this shard leaves kRendering.
+    util::CondVar published;
   };
+  /// A looked-up entry and what the lookup found: kClaimed means this
+  /// caller inserted (or re-claimed an abandoned) entry and must render it.
+  struct Lookup {
+    enum class Found : std::uint8_t { kReady, kClaimed, kInFlight };
+    Entry* entry = nullptr;
+    Shard* shard = nullptr;
+    Found found = Found::kReady;
+  };
+
+  /// Find or insert the entry for `key` and bump the hit/miss/dedup-wait
+  /// counters. Never waits, so a caller can claim a whole group before
+  /// waiting on anyone else's render (no claim is held while waiting).
+  Lookup lookup(const Key& key);
+
+  /// Block until an in-flight entry is published and return its digest;
+  /// if its renderer failed, claim and render it here.
+  const util::Digest& await(const Lookup& lookup,
+                            const AudioFingerprintVector& vector,
+                            const platform::PlatformProfile& profile,
+                            std::uint32_t jitter_state);
+
+  /// Cold path: render the claimed entries (all of `vector` on `profile`'s
+  /// stack, one per jitter state) in one engine pass and publish them, or
+  /// mark them abandoned if the render throws. Kept out of the
+  /// nonallocating contract — steady state never reaches it (proven by the
+  /// counter audits in the serve steady-state test).
+  void render_claimed(const AudioFingerprintVector& vector,
+                      const platform::PlatformProfile& profile,
+                      std::span<const Lookup> claimed,
+                      std::span<const webaudio::RenderJitter> jitters);
 
   std::array<Shard, kShards> shards_;
   std::atomic<std::size_t> hits_{0};
   std::atomic<std::size_t> misses_{0};
+  std::atomic<std::size_t> renders_{0};
 
   /// Registry-backed mirrors of the per-instance tallies above (the
   /// per-instance atomics stay authoritative for `hits()`/`misses()`; the

@@ -10,7 +10,11 @@
 
 #include "platform/profile.h"
 #include "util/hash.h"
-#include "webaudio/engine_config.h"
+#include "webaudio/analyser_node.h"
+
+namespace wafp::webaudio {
+class OfflineAudioContext;
+}  // namespace wafp::webaudio
 
 namespace wafp::fingerprint {
 
@@ -81,6 +85,12 @@ class DigestTap {
 /// One Web Audio fingerprinting vector: builds its audio graph on a
 /// platform-configured OfflineAudioContext, renders, and hashes the
 /// characteristic outputs.
+///
+/// Render jitter only reaches the analyser's capture side (see
+/// webaudio/analyser_node.h), so one engine pass can digest any number of
+/// jitter states: run_states() renders the graph once and feeds one
+/// DigestTap per requested state. run() is its one-state case; there is no
+/// other render path.
 class AudioFingerprintVector {
  public:
   virtual ~AudioFingerprintVector() = default;
@@ -94,21 +104,43 @@ class AudioFingerprintVector {
   /// flakiness when the study harness draws each iteration's jitter.
   [[nodiscard]] virtual double jitter_susceptibility() const = 0;
 
-  /// Render the vector's graph on the given platform with the given jitter
-  /// state and return the fingerprint digest. Deterministic in
-  /// (profile.audio, jitter).
-  [[nodiscard]] util::Digest run(const platform::PlatformProfile& profile,
-                                 const webaudio::RenderJitter& jitter) const {
-    return run(profile, jitter, nullptr);
-  }
+  /// Render the vector's graph once on `profile` and write, for every i,
+  /// the digest a render with `jitters[i]` alone produces into
+  /// `digests[i]` (sizes must match). `captures` is empty or holds one
+  /// append-only stream per state (nullptr entries skip); capturing never
+  /// changes a digest — the conformance suite asserts it. Deterministic in
+  /// (profile.audio, jitters[i]).
+  void run_states(const platform::PlatformProfile& profile,
+                  std::span<const webaudio::RenderJitter> jitters,
+                  std::span<util::Digest> digests,
+                  std::span<std::vector<float>* const> captures = {}) const;
 
-  /// As above, additionally capturing the digested sample stream into
-  /// `capture` (append-only; pass nullptr to skip). The digest is identical
-  /// with or without capture — the conformance suite asserts it.
-  [[nodiscard]] virtual util::Digest run(
-      const platform::PlatformProfile& profile,
-      const webaudio::RenderJitter& jitter,
-      std::vector<float>* capture) const = 0;
+  /// Render the vector's graph on the given platform with the given jitter
+  /// state and return the fingerprint digest, optionally capturing the
+  /// digested sample stream into `capture` (append-only; nullptr skips).
+  /// The one-state case of run_states().
+  [[nodiscard]] util::Digest run(const platform::PlatformProfile& profile,
+                                 const webaudio::RenderJitter& jitter,
+                                 std::vector<float>* capture = nullptr) const;
+
+ protected:
+  /// Build this vector's graph on `ctx`, render it, and write state i's
+  /// digested stream into `taps[i]`, reading the analyser (if any) through
+  /// one capture reader per entry of `jitters`. Each vector builds its
+  /// graph here and nowhere else.
+  virtual void render_taps(webaudio::OfflineAudioContext& ctx,
+                           std::span<const webaudio::RenderJitter> jitters,
+                           std::span<DigestTap> taps) const = 0;
+
+  /// Write state-independent samples (time-domain output, filter
+  /// responses) into every tap.
+  static void write_all(std::span<DigestTap> taps,
+                        std::span<const float> samples);
+  /// Capture reader i's current spectrum into `taps[i]`, for every reader;
+  /// `freq` is frequency_bin_count() floats of scratch.
+  static void write_spectra(webaudio::AnalyserNode& analyser,
+                            std::span<float> freq,
+                            std::span<DigestTap> taps);
 };
 
 /// Registry lookup (objects are stateless singletons).

@@ -41,6 +41,7 @@ Histogram::Snapshot Histogram::snapshot() const {
   Snapshot snap;
   snap.bounds = bounds_;
   snap.counts.assign(bounds_.size() + 1, 0);
+  std::uint64_t min = UINT64_MAX;
   for (const Shard& s : shards_) {
     for (std::size_t i = 0; i < snap.counts.size(); ++i) {
       snap.counts[i] += s.buckets[i].load(std::memory_order_relaxed);
@@ -48,7 +49,11 @@ Histogram::Snapshot Histogram::snapshot() const {
     snap.sum += s.sum.load(std::memory_order_relaxed);
     snap.count += s.count.load(std::memory_order_relaxed);
     snap.max = std::max(snap.max, s.max.load(std::memory_order_relaxed));
+    min = std::min(min, s.min.load(std::memory_order_relaxed));
   }
+  // A snapshot racing observe() can see a shard's count before its
+  // min/max; keep min <= max so quantiles always have a valid range.
+  snap.min = snap.count == 0 ? 0 : std::min(min, snap.max);
   snap.overflow = snap.counts.back();
   return snap;
 }
@@ -57,6 +62,7 @@ double Histogram::Snapshot::quantile(double q) const {
   if (count == 0 || bounds.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   const double target = q * static_cast<double>(count);
+  const auto observed_min = static_cast<double>(min);
   const auto observed_max = static_cast<double>(max);
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -68,7 +74,7 @@ double Histogram::Snapshot::quantile(double q) const {
           i < bounds.size() ? static_cast<double>(bounds[i]) : observed_max;
       const double frac =
           (target - static_cast<double>(cum)) / static_cast<double>(c);
-      return std::min(lo + frac * (hi - lo), observed_max);
+      return std::clamp(lo + frac * (hi - lo), observed_min, observed_max);
     }
     cum += c;
   }
@@ -324,7 +330,9 @@ std::string MetricsRegistry::render_json() const {
         case Kind::kGauge: append_i64(out, inst->gauge->value()); break;
         case Kind::kHistogram: {
           const Histogram::Snapshot snap = inst->histogram->snapshot();
-          out += "{\"count\": ";
+          out += "{\"min\": ";
+          append_u64(out, snap.min);
+          out += ", \"count\": ";
           append_u64(out, snap.count);
           out += ", \"sum\": ";
           append_u64(out, snap.sum);

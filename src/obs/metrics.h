@@ -91,10 +91,10 @@ class Gauge {
 /// Fixed-bucket histogram for latency-style values (nanoseconds by
 /// convention). Bucket upper bounds are fixed at registration; observe()
 /// is wait-free (sharded relaxed atomics, plus a compare-exchange only when
-/// a shard sees a new maximum). Quantiles are estimated by linear
-/// interpolation inside the target bucket and never exceed the observed
-/// maximum — exact enough for p50/p95/p99 trend lines, and deterministic
-/// given the same observations.
+/// a shard sees a new minimum or maximum). Quantiles are estimated by
+/// linear interpolation inside the target bucket and clamped to the
+/// observed [minimum, maximum] — exact enough for p50/p95/p99 trend lines,
+/// and deterministic given the same observations.
 class Histogram {
  public:
   static constexpr std::size_t kShards = 8;  // power of two
@@ -113,6 +113,11 @@ class Histogram {
            !s.max.compare_exchange_weak(seen, value,
                                         std::memory_order_relaxed)) {
     }
+    seen = s.min.load(std::memory_order_relaxed);
+    while (value < seen &&
+           !s.min.compare_exchange_weak(seen, value,
+                                        std::memory_order_relaxed)) {
+    }
   }
 
   [[nodiscard]] std::span<const std::uint64_t> bounds() const {
@@ -124,12 +129,13 @@ class Histogram {
     std::vector<std::uint64_t> counts;  // bounds.size() + 1 (overflow last)
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
+    std::uint64_t min = 0;       // smallest observed value (0 when empty)
     std::uint64_t max = 0;       // largest observed value
     std::uint64_t overflow = 0;  // observations above the last bound
 
-    /// Interpolated quantile, q in [0, 1], clamped to `max`. The overflow
-    /// bucket interpolates from the last finite bound up to `max`; an empty
-    /// histogram reports 0.
+    /// Interpolated quantile, q in [0, 1], clamped to [`min`, `max`]. The
+    /// overflow bucket interpolates from the last finite bound up to `max`;
+    /// an empty histogram reports 0.
     [[nodiscard]] double quantile(double q) const;
     [[nodiscard]] double p50() const { return quantile(0.50); }
     [[nodiscard]] double p95() const { return quantile(0.95); }
@@ -146,6 +152,7 @@ class Histogram {
     std::atomic<std::uint64_t> sum{0};
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> max{0};
+    std::atomic<std::uint64_t> min{UINT64_MAX};  // UINT64_MAX until observed
   };
   std::array<Shard, kShards> shards_;
 };
@@ -196,7 +203,8 @@ class MetricsRegistry {
 
   /// One JSON object for embedding into BENCH_*.json: unlabeled counters
   /// and gauges flatten to numbers, labeled ones to {label: value} objects,
-  /// histograms to {label: {count, sum, p50, p95, p99, overflow}} objects.
+  /// histograms to {label: {min, count, sum, p50, p95, p99, overflow}}
+  /// objects.
   [[nodiscard]] std::string render_json() const;
 
   /// The process-wide default registry (what WAFP_SPAN and un-injected

@@ -61,7 +61,7 @@ struct AudioStack {
 };
 
 /// Per-user instability model (paper §3.1 "fickleness"); see
-/// webaudio::RenderJitter for the mechanism.
+/// webaudio::RenderJitter (webaudio/analyser_node.h) for the mechanism.
 struct Fickleness {
   /// Per-iteration probability scale of any perturbation event; 0 for the
   /// ~half of users whose 30 iterations are identical (Fig. 3).
@@ -119,8 +119,9 @@ struct PlatformProfile {
   /// Navigator-style User-Agent header string.
   [[nodiscard]] std::string user_agent() const;
 
-  /// Build an EngineConfig carrying this profile's audio stack (jitter left
-  /// at the stable default; the fingerprinting layer sets it per render).
+  /// Build an EngineConfig carrying this profile's audio stack. Render
+  /// jitter is not part of it: the fingerprinting layer hands jitter states
+  /// to the analyser's capture readers (webaudio::AnalyserNode).
   [[nodiscard]] webaudio::EngineConfig make_engine_config() const;
 };
 

@@ -11,9 +11,9 @@
 //                and resubmits instead of growing an unbounded buffer.
 //   coalescing — concurrent in-flight requests for one render class
 //                collapse onto a single Task (RenderCache deduplicates
-//                per-key with call_once; this deduplicates across callers
-//                before a render is even scheduled, so N requests admit at
-//                most one unit of queued work).
+//                per key by claim and dedup wait; this deduplicates
+//                across callers before a render is even scheduled, so N
+//                requests admit at most one unit of queued work).
 //   batching   — workers drain the queue in batches sorted archetype-major
 //                (BatchRenderer's ordering) so consecutive renders share
 //                engine parts, then render through the shared RenderCache —

@@ -23,6 +23,8 @@ constexpr std::size_t kRingFrames = 65536;
 /// states never alias onto each other across fft sizes.
 constexpr std::size_t kSkewFramesPerState = 17;
 
+constexpr RenderJitter kStableJitter{};
+
 /// Nudge a float by `ulps` representation steps (the chaotic glitch model).
 float nudge_ulp(float v, int ulps) {
   float out = v;
@@ -41,8 +43,20 @@ AnalyserNode::AnalyserNode(OfflineAudioContext& context, std::size_t channels)
     : AudioNode(context, /*num_inputs=*/1, channels),
       input_scratch_(channels, kRenderQuantumFrames),
       smoothing_(context.config().analyser.smoothing),
-      ring_(kRingFrames, 0.0f),
-      smoothed_magnitudes_(fft_size_ / 2, 0.0) {}
+      ring_(kRingFrames, 0.0f) {
+  set_readers(std::span<const RenderJitter>(&kStableJitter, 1));
+}
+
+void AnalyserNode::set_readers(std::span<const RenderJitter> jitters) {
+  WAFP_CHECK(!jitters.empty()) << "AnalyserNode: at least one reader";
+  readers_.assign(jitters.size(), Reader{});
+  for (std::size_t r = 0; r < jitters.size(); ++r) {
+    readers_[r].skew =
+        static_cast<std::size_t>(jitters[r].state) * kSkewFramesPerState;
+    readers_[r].chaos_seed = jitters[r].chaos_seed;
+    readers_[r].smoothed_magnitudes.assign(fft_size_ / 2, 0.0f);
+  }
+}
 
 void AnalyserNode::set_fft_size(std::size_t fft_size) {
   if (fft_size < 32 || fft_size > 32768 ||
@@ -51,7 +65,9 @@ void AnalyserNode::set_fft_size(std::size_t fft_size) {
         "AnalyserNode: fftSize must be a power of two in [32, 32768]");
   }
   fft_size_ = fft_size;
-  smoothed_magnitudes_.assign(fft_size_ / 2, 0.0);
+  for (Reader& reader : readers_) {
+    reader.smoothed_magnitudes.assign(fft_size_ / 2, 0.0f);
+  }
 }
 
 void AnalyserNode::set_smoothing_time_constant(double tau) {
@@ -87,7 +103,11 @@ void AnalyserNode::gather_block(std::span<double> block,
   }
 }
 
-void AnalyserNode::get_float_frequency_data(std::span<float> out) {
+void AnalyserNode::get_float_frequency_data(std::size_t reader_index,
+                                            std::span<float> out) {
+  WAFP_CHECK(reader_index < readers_.size())
+      << "AnalyserNode: no capture reader " << reader_index;
+  Reader& reader = readers_[reader_index];
   const auto& cfg = context().config();
   const auto& m = math();
 
@@ -96,9 +116,8 @@ void AnalyserNode::get_float_frequency_data(std::span<float> out) {
     window_fft_size_ = fft_size_;
   }
 
-  // 1. Gather the latest block; jitter state skews the read position.
-  const std::size_t skew =
-      static_cast<std::size_t>(cfg.jitter.state) * kSkewFramesPerState;
+  // 1. Gather the latest block; the reader's jitter state skews the read
+  //    position.
   const std::size_t bins = frequency_bin_count();
   block_scratch_.resize(fft_size_);
   re_scratch_.resize(fft_size_);
@@ -106,7 +125,7 @@ void AnalyserNode::get_float_frequency_data(std::span<float> out) {
   mag_scratch_.resize(bins);
   db_lin_scratch_.resize(bins);
   db_scratch_.resize(bins);
-  gather_block(block_scratch_, skew);
+  gather_block(block_scratch_, reader.skew);
 
   // 2. Blackman window and FFT, both in float32 — as production analyser
   //    pipelines run (e.g. Blink's FFTFrame). Implementation rounding
@@ -128,10 +147,10 @@ void AnalyserNode::get_float_frequency_data(std::span<float> out) {
   const auto tau = static_cast<float>(smoothing_);
   ops.vmag_f32(mag_scratch_.data(), re_scratch_.data(), im_scratch_.data(),
                scale, cfg.fma_contraction, bins);
-  ops.vsmooth_f32(smoothed_magnitudes_.data(), mag_scratch_.data(), tau,
-                  1.0f - tau, bins);
+  ops.vsmooth_f32(reader.smoothed_magnitudes.data(), mag_scratch_.data(),
+                  tau, 1.0f - tau, bins);
   for (std::size_t k = 0; k < bins; ++k) {
-    db_lin_scratch_[k] = static_cast<double>(smoothed_magnitudes_[k]);
+    db_lin_scratch_[k] = static_cast<double>(reader.smoothed_magnitudes[k]);
   }
   m.linear_to_decibels_batch(db_lin_scratch_.data(), db_scratch_.data(), bins);
   const std::size_t out_bins = std::min(bins, out.size());
@@ -142,8 +161,9 @@ void AnalyserNode::get_float_frequency_data(std::span<float> out) {
   // 4. Chaotic glitch: a one-off transient perturbs a handful of bins by a
   //    single ULP. Seeded per (render, capture) so every such digest is
   //    effectively unique — the long tail of the paper's Table 1.
-  if (cfg.jitter.chaos_seed != 0) {
-    util::Rng rng(util::derive_seed(cfg.jitter.chaos_seed, capture_counter_));
+  if (reader.chaos_seed != 0) {
+    util::Rng rng(util::derive_seed(reader.chaos_seed,
+                                    reader.capture_counter));
     const std::size_t hits = 3 + rng.next_below(4);
     for (std::size_t h = 0; h < hits; ++h) {
       const std::size_t bin = rng.next_below(std::min(bins, out.size()));
@@ -151,7 +171,7 @@ void AnalyserNode::get_float_frequency_data(std::span<float> out) {
       out[bin] = nudge_ulp(out[bin], direction);
     }
   }
-  ++capture_counter_;
+  ++reader.capture_counter;
 }
 
 void AnalyserNode::get_float_time_domain_data(std::span<float> out) const {

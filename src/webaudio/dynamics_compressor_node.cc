@@ -94,9 +94,8 @@ double DynamicsCompressorNode::saturate(double x) const {
   if (x < curve_.knee_end_linear) return knee_curve(x);
   // Beyond the knee: constant dB-slope region.
   const double x_db = m.linear_to_decibels(x);
-  const double y_knee_db =
-      m.linear_to_decibels(knee_curve(curve_.knee_end_linear));
-  const double y_db = y_knee_db + curve_.slope * (x_db - curve_.knee_end_db);
+  const double y_db =
+      curve_.knee_end_output_db + curve_.slope * (x_db - curve_.knee_end_db);
   return m.decibels_to_linear(y_db);
 }
 
@@ -118,6 +117,8 @@ void DynamicsCompressorNode::update_curve(double when_time) {
   curve_.knee_end_linear = m.decibels_to_linear(curve_.knee_end_db);
   curve_.slope = 1.0 / ratio;
   curve_.k = solve_k();
+  curve_.knee_end_output_db =
+      m.linear_to_decibels(knee_curve(curve_.knee_end_linear));
 
   // Makeup gain from the full-range response, Blink-style.
   const double full_range_gain = saturate(1.0);

@@ -52,6 +52,9 @@ class DynamicsCompressorNode final : public AudioNode {
     double knee_end_db = 0.0;
     double slope = 1.0;
     double k = 1.0;
+    /// Curve output at the knee end, in dB: saturate()'s anchor for the
+    /// constant-slope region, a function of the fields above only.
+    double knee_end_output_db = 0.0;
     double makeup_gain = 1.0;
   };
 

@@ -59,29 +59,6 @@ struct AnalyserTuning {
                          const AnalyserTuning&) = default;
 };
 
-/// Render-time perturbation state modelling the paper's observed
-/// "fickleness" (§3.1): FFT-based vectors occasionally hash differently on
-/// the same machine, which the authors attribute to the analysis path (the
-/// DC vector never wavers). We model two mechanisms:
-///
-///  * `state` > 0 — a platform-determined capture-timing skew: the analyser
-///    reads its FFT block at a slightly shifted ring-buffer offset. The same
-///    (platform, state) pair always produces the same digest, so different
-///    users on identical stacks can still collide — which is what makes the
-///    paper's graph collation (§3.2) merge clusters.
-///  * `chaos_seed` != 0 — a one-off transient glitch (scheduling hiccup /
-///    load spike) that perturbs isolated analyser bins by one ULP; such
-///    digests are effectively unique, giving the long tail of Table 1.
-///
-/// Both only touch the analyser path; the time-domain signal chain is
-/// untouched, so DC-only fingerprints stay perfectly stable.
-struct RenderJitter {
-  std::uint32_t state = 0;
-  std::uint64_t chaos_seed = 0;
-
-  [[nodiscard]] bool is_stable() const { return state == 0 && chaos_seed == 0; }
-};
-
 /// Everything an OfflineAudioContext needs to know about the simulated
 /// platform it renders on.
 struct EngineConfig {
@@ -93,7 +70,6 @@ struct EngineConfig {
   bool fma_contraction = false;
   CompressorTuning compressor;
   AnalyserTuning analyser;
-  RenderJitter jitter;
 
   /// Shared wavetable cache (periodic_wave_cache.h). Waves depend only on
   /// `fft` and `math`, so configs built from the same platform stack should
@@ -106,7 +82,7 @@ struct EngineConfig {
   /// Purely observational: digests are identical with any sink.
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// A config with host math, radix-2 FFT, and no jitter.
+  /// A config with host math and radix-2 FFT.
   [[nodiscard]] static EngineConfig reference();
 };
 

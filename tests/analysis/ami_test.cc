@@ -17,10 +17,26 @@ TEST(ContingencyTest, BuildsCorrectTable) {
   EXPECT_EQ(table.total, 5u);
   EXPECT_EQ(table.row_sums.size(), 2u);
   EXPECT_EQ(table.col_sums.size(), 2u);
-  EXPECT_EQ(table.cells[0][0], 1u);
-  EXPECT_EQ(table.cells[0][1], 1u);
-  EXPECT_EQ(table.cells[1][1], 2u);
-  EXPECT_EQ(table.cells[1][0], 1u);
+  // Nonzero cells only, in (row, col) order.
+  const std::vector<ContingencyCell> expected = {
+      {0, 0, 1}, {0, 1, 1}, {1, 0, 1}, {1, 1, 2}};
+  EXPECT_EQ(table.cells, expected);
+}
+
+TEST(ContingencyTest, StoresOnlyNonzeroCellsInRowColOrder) {
+  // Labels densify in order of first appearance (7 -> 0, 3 -> 1, 5 -> 2;
+  // 9 -> 0, 2 -> 1, 4 -> 2); the 3x3 table has four empty cells.
+  const std::vector<int> a = {7, 3, 5, 7, 3, 7};
+  const std::vector<int> b = {9, 2, 4, 9, 4, 2};
+  const ContingencyTable table = build_contingency(a, b);
+  const std::vector<ContingencyCell> expected = {
+      {0, 0, 2}, {0, 1, 1}, {1, 1, 1}, {1, 2, 1}, {2, 2, 1}};
+  EXPECT_EQ(table.cells, expected);
+  EXPECT_EQ(table.row_sums, (std::vector<std::size_t>{3, 2, 1}));
+  EXPECT_EQ(table.col_sums, (std::vector<std::size_t>{2, 2, 2}));
+  std::size_t sum = 0;
+  for (const ContingencyCell& cell : table.cells) sum += cell.count;
+  EXPECT_EQ(sum, table.total);
 }
 
 TEST(ContingencyDeathTest, LengthMismatchAbortsInEveryBuild) {

@@ -68,6 +68,41 @@ TEST(BatchRendererTest, WarmsCacheToPureHits) {
   EXPECT_EQ(cache.hits(), audio_vector_ids().size());
 }
 
+TEST(BatchRendererTest, RendersOncePerStackVectorGroup) {
+  // Six classes in three (stack, vector) groups: the engine renders each
+  // group once, while the cache still counts one miss per class — at any
+  // thread count.
+  const auto a = profile_with_math(dsp::MathVariant::kPrecise);
+  const auto b = profile_with_math(dsp::MathVariant::kTable);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    RenderCache cache;
+    BatchRenderer batch(cache);
+    for (const std::uint32_t state : {0u, 1u}) {
+      batch.request(audio_vector(VectorId::kDc), a, state);
+    }
+    for (const std::uint32_t state : {3u, 0u, 2u, 3u}) {
+      batch.request(audio_vector(VectorId::kFft), a, state);
+    }
+    batch.request(audio_vector(VectorId::kFft), b, 1);
+    const BatchRenderStats stats = batch.render_all(threads);
+    EXPECT_EQ(stats.requests, 7u);
+    EXPECT_EQ(stats.classes, 6u);
+    EXPECT_EQ(stats.groups, 3u);
+    EXPECT_EQ(stats.archetypes, 2u);
+    EXPECT_EQ(cache.renders(), stats.groups) << threads << " threads";
+    EXPECT_EQ(cache.misses(), stats.classes) << threads << " threads";
+    EXPECT_EQ(cache.entries(), stats.classes);
+    // Every grouped digest is the solo render of its class.
+    for (const std::uint32_t state : {0u, 2u, 3u}) {
+      const auto& fft = audio_vector(VectorId::kFft);
+      EXPECT_EQ(cache.get(fft, a, state), fft.run(a, {.state = state}));
+    }
+    EXPECT_EQ(cache.get(audio_vector(VectorId::kFft), b, 1),
+              audio_vector(VectorId::kFft).run(b, {.state = 1}));
+    EXPECT_EQ(cache.renders(), stats.groups);  // those were hits
+  }
+}
+
 TEST(BatchRendererTest, RenderAllDrainsThePendingSet) {
   RenderCache cache;
   BatchRenderer batch(cache);
@@ -130,6 +165,7 @@ TEST(BatchRendererTest, HashCollisionsNeverDropAClass) {
   const BatchRenderStats stats = batch.render_all();
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_EQ(stats.classes, 4u);  // nothing merged, nothing dropped
+  EXPECT_EQ(stats.groups, 3u);   // DC on `a` carries states 0 and 5
   EXPECT_EQ(cache.entries(), 4u);
   // True duplicates still collapse even when everything shares one hash.
   batch.request(audio_vector(VectorId::kDc), a, 0);

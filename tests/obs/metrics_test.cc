@@ -66,12 +66,29 @@ TEST(HistogramTest, QuantileInterpolatesWithinBucket) {
   Histogram h(bounds);
   for (int i = 0; i < 10; ++i) h.observe(1);  // all in the first bucket
   const auto snap = h.snapshot();
-  // Linear interpolation across [0, 100] would say 50 and 99; no quantile
-  // may exceed the largest value actually observed.
+  // Linear interpolation across [0, 100] would say 50 and 99, and 0 at
+  // q = 0; no quantile may leave the range of values actually observed.
+  EXPECT_EQ(snap.min, 1u);
   EXPECT_EQ(snap.max, 1u);
   EXPECT_DOUBLE_EQ(snap.p50(), 1.0);
   EXPECT_DOUBLE_EQ(snap.quantile(0.99), 1.0);
-  EXPECT_DOUBLE_EQ(snap.quantile(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(snap.quantile(0.0), 1.0);
+}
+
+TEST(HistogramTest, CountHistogramQuantilesStayAtOrAboveMin) {
+  // Batch sizes (wafp_serve_batch_size) are counts >= 1 on count buckets
+  // {1, 2, 4, ...}: the first bucket spans [0, 1], and interpolating in it
+  // used to report p50 = 0.5, a batch size that cannot happen.
+  const std::array<std::uint64_t, 4> bounds = {1, 2, 4, 8};
+  Histogram h(bounds);
+  for (int i = 0; i < 6; ++i) h.observe(1);
+  h.observe(3);
+  h.observe(7);
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.min, 1u);
+  EXPECT_GE(snap.p50(), 1.0);
+  EXPECT_GE(snap.quantile(0.0), 1.0);
+  EXPECT_LE(snap.quantile(1.0), 7.0);
 }
 
 TEST(HistogramTest, QuantileWalksCumulativeBuckets) {
@@ -130,9 +147,25 @@ TEST(HistogramTest, MaxIsTrackedAcrossShards) {
   EXPECT_DOUBLE_EQ(snap.quantile(1.0), 8000.0);
 }
 
+TEST(HistogramTest, MinIsTrackedAcrossShards) {
+  const std::array<std::uint64_t, 1> bounds = {10};
+  Histogram h(bounds);
+  std::vector<std::thread> workers;
+  for (std::uint64_t t = 1; t <= 8; ++t) {
+    workers.emplace_back([&h, t] {
+      for (std::uint64_t i = 1; i <= 1000; ++i) h.observe(t * 1000 + i);
+    });
+  }
+  for (auto& w : workers) w.join();
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.min, 1001u);
+  EXPECT_DOUBLE_EQ(snap.quantile(0.0), 1001.0);
+}
+
 TEST(HistogramTest, EmptyHistogramReportsZeroQuantiles) {
   const std::array<std::uint64_t, 1> bounds = {10};
   Histogram h(bounds);
+  EXPECT_EQ(h.snapshot().min, 0u);
   EXPECT_DOUBLE_EQ(h.snapshot().p99(), 0.0);
 }
 
@@ -241,6 +274,8 @@ TEST(RegistryTest, JsonExportFlattensUnlabeledScalars) {
   EXPECT_NE(json.find("\"count\": 1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p50\": 50"), std::string::npos) << json;
   EXPECT_NE(json.find("\"overflow\": 0}"), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"min\": 50, \"count\": 1"), std::string::npos)
+      << json;
 }
 
 TEST(RegistryTest, JsonExportHandlesZeroObservationHistograms) {

@@ -18,12 +18,14 @@ constexpr double kSampleRate = 44100.0;
 /// Render a sine through an analyser, capturing the spectrum at the end.
 std::vector<float> analyse_tone(double frequency,
                                 EngineConfig cfg = EngineConfig::reference(),
-                                std::size_t fft_size = 2048) {
+                                std::size_t fft_size = 2048,
+                                RenderJitter jitter = {}) {
   OfflineAudioContext ctx(1, 16384, kSampleRate, std::move(cfg));
   auto& osc = ctx.create<OscillatorNode>(OscillatorType::kSine);
   osc.frequency().set_value(frequency);
   auto& analyser = ctx.create<AnalyserNode>();
   analyser.set_fft_size(fft_size);
+  analyser.set_readers(std::span<const RenderJitter>(&jitter, 1));
   auto& script = ctx.create<ScriptProcessorNode>(2048);
   auto& mute = ctx.create<GainNode>();
   mute.gain().set_value(0.0);
@@ -130,25 +132,21 @@ TEST(AnalyserTest, TimeDomainDataReturnsRecentSamples) {
 }
 
 TEST(AnalyserTest, JitterStateChangesSpectrumDeterministically) {
-  EngineConfig stable = EngineConfig::reference();
-  EngineConfig skewed = EngineConfig::reference();
-  skewed.jitter.state = 2;
-
-  const std::vector<float> a = analyse_tone(10000.0, stable);
-  const std::vector<float> b = analyse_tone(10000.0, skewed);
+  const RenderJitter skewed{.state = 2};
+  const std::vector<float> a = analyse_tone(10000.0);
+  const std::vector<float> b =
+      analyse_tone(10000.0, EngineConfig::reference(), 2048, skewed);
   EXPECT_NE(a, b);
 
-  EngineConfig skewed2 = EngineConfig::reference();
-  skewed2.jitter.state = 2;
-  const std::vector<float> b2 = analyse_tone(10000.0, skewed2);
+  const std::vector<float> b2 =
+      analyse_tone(10000.0, EngineConfig::reference(), 2048, skewed);
   EXPECT_EQ(b, b2);  // same state -> bit-identical
 }
 
 TEST(AnalyserTest, ChaosSeedPerturbsFewBins) {
-  EngineConfig chaotic = EngineConfig::reference();
-  chaotic.jitter.chaos_seed = 12345;
   const std::vector<float> clean = analyse_tone(10000.0);
-  const std::vector<float> glitched = analyse_tone(10000.0, chaotic);
+  const std::vector<float> glitched = analyse_tone(
+      10000.0, EngineConfig::reference(), 2048, {.chaos_seed = 12345});
   std::size_t differing = 0;
   for (std::size_t k = 0; k < clean.size(); ++k) {
     if (clean[k] != glitched[k]) {
@@ -162,11 +160,54 @@ TEST(AnalyserTest, ChaosSeedPerturbsFewBins) {
 }
 
 TEST(AnalyserTest, DifferentChaosSeedsDiffer) {
-  EngineConfig a = EngineConfig::reference();
-  a.jitter.chaos_seed = 1;
-  EngineConfig b = EngineConfig::reference();
-  b.jitter.chaos_seed = 2;
-  EXPECT_NE(analyse_tone(10000.0, a), analyse_tone(10000.0, b));
+  EXPECT_NE(analyse_tone(10000.0, EngineConfig::reference(), 2048,
+                         {.chaos_seed = 1}),
+            analyse_tone(10000.0, EngineConfig::reference(), 2048,
+                         {.chaos_seed = 2}));
+}
+
+TEST(AnalyserTest, EachReaderCapturesItsSoloStream) {
+  // One render, several capture readers: reader i's stream of captures
+  // must equal a render whose only reader has jitters[i] — skew, chaos
+  // draws and smoothing history are per reader, the ring is shared.
+  const std::vector<RenderJitter> jitters = {
+      {}, {.state = 1}, {.state = 4}, {.chaos_seed = 77}, {.state = 1}};
+  const auto capture_streams = [](std::span<const RenderJitter> readers) {
+    OfflineAudioContext ctx(1, 16384, kSampleRate, EngineConfig::reference());
+    auto& osc = ctx.create<OscillatorNode>(OscillatorType::kTriangle);
+    osc.frequency().set_value(3000.0);
+    auto& analyser = ctx.create<AnalyserNode>();
+    analyser.set_readers(readers);
+    auto& script = ctx.create<ScriptProcessorNode>(2048);
+    auto& mute = ctx.create<GainNode>();
+    mute.gain().set_value(0.0);
+    osc.connect(analyser);
+    analyser.connect(script);
+    script.connect(mute);
+    mute.connect(ctx.destination());
+    osc.start(0.0);
+    std::vector<std::vector<float>> streams(readers.size());
+    std::vector<float> freq(analyser.frequency_bin_count());
+    script.set_on_audio_process([&](std::span<const float>, std::size_t) {
+      for (std::size_t r = 0; r < readers.size(); ++r) {
+        analyser.get_float_frequency_data(r, freq);
+        streams[r].insert(streams[r].end(), freq.begin(), freq.end());
+      }
+    });
+    (void)ctx.start_rendering();
+    return streams;
+  };
+
+  const auto together = capture_streams(jitters);
+  ASSERT_EQ(together.size(), jitters.size());
+  for (std::size_t i = 0; i < jitters.size(); ++i) {
+    const auto solo =
+        capture_streams(std::span<const RenderJitter>(&jitters[i], 1));
+    EXPECT_EQ(together[i], solo[0]) << "reader " << i;
+  }
+  EXPECT_NE(together[0], together[1]);
+  EXPECT_NE(together[0], together[3]);
+  EXPECT_EQ(together[1], together[4]);
 }
 
 TEST(AnalyserTest, FftBuildVisibleInFloatSpectrum) {
