@@ -9,12 +9,15 @@
 // --smoke shrinks the study and the thread sweep for CI. The run also
 // cross-checks the determinism contract: every thread count must produce a
 // dataset with the same digest checksum as the serial run, from the same
-// number of engine renders. render_pass_share (engine renders / render
-// classes) shows how many classes each (stack, vector) render serves.
+// number of engine and canvas renders. render_pass_share (engine renders /
+// render classes) shows how many classes each (stack, vector) render
+// serves, and canvas_renders counts the canvas static-vector memo misses.
+// fig5_ms_per_pair (serial Fig. 5 time per AMI pair evaluated) measures the
+// Fig. 5 analysis alone; fig5_share (its part of the widest run) also moves
+// with collect and is informational.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "obs/metrics.h"
 #include "study/dataset.h"
 #include "study/experiments.h"
+#include "util/flags.h"
 #include "util/hash.h"
 #include "util/thread_pool.h"
 
@@ -63,6 +67,8 @@ struct StageTimes {
   std::uint64_t checksum = 0;
   std::uint64_t render_passes = 0;   // engine renders during collect
   std::uint64_t render_classes = 0;  // (stack, vector, jitter) classes
+  std::uint64_t canvas_renders = 0;  // canvas static-memo misses
+  std::uint64_t fig5_pairs = 0;      // AMI pairs Fig. 5 evaluates
 
   [[nodiscard]] double total() const {
     return collect + table1 + table2 + fig5 + table6;
@@ -75,18 +81,21 @@ StageTimes run_pipeline(StudyConfig cfg, std::size_t threads) {
   StageTimes t;
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  const std::uint64_t renders_before =
-      registry.counter("wafp_render_total").value();
-  const std::uint64_t classes_before =
-      registry.counter("wafp_cache_misses_total").value();
+  obs::Counter& renders = registry.counter("wafp_render_total");
+  obs::Counter& classes = registry.counter("wafp_cache_misses_total");
+  obs::Counter& canvases = registry.counter(
+      "wafp_static_memo_misses_total", {},
+      obs::label("vector", to_string(fingerprint::VectorId::kCanvas)));
+  const std::uint64_t renders_before = renders.value();
+  const std::uint64_t classes_before = classes.value();
+  const std::uint64_t canvases_before = canvases.value();
   auto start = Clock::now();
   const Dataset ds = Dataset::collect(cfg);
   t.collect = seconds_since(start);
   t.checksum = dataset_checksum(ds);
-  t.render_passes =
-      registry.counter("wafp_render_total").value() - renders_before;
-  t.render_classes =
-      registry.counter("wafp_cache_misses_total").value() - classes_before;
+  t.render_passes = renders.value() - renders_before;
+  t.render_classes = classes.value() - classes_before;
+  t.canvas_renders = canvases.value() - canvases_before;
 
   start = Clock::now();
   volatile std::size_t sink = study::table1_stability(ds).size();
@@ -111,6 +120,10 @@ StageTimes run_pipeline(StudyConfig cfg, std::size_t threads) {
     for (const fingerprint::VectorId id : audio_ids) {
       sink = sink + static_cast<std::size_t>(
                         1000.0 * study::cluster_agreement(ds, id, s).mean_ami);
+      // cluster_agreement compares every pair of its iterations / s
+      // disjoint subsets.
+      const std::size_t subsets = cfg.iterations / s;
+      if (subsets >= 2) t.fig5_pairs += subsets * (subsets - 1) / 2;
     }
   }
   t.fig5 = seconds_since(start);
@@ -138,22 +151,18 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> thread_sweep = {1, 2, 4, 8};
   bool smoke = false;
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      cfg.num_users = std::strtoul(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-      cfg.iterations =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--out FILE] [--users N] [--iters K]\n",
-                   argv[0]);
-      return 2;
-    }
+  util::FlagParser flags(
+      "parallel_pipeline",
+      "Serial-vs-parallel study pipeline benchmark (BENCH_parallel.json).");
+  flags.flag("--smoke", &smoke, "CI-sized study and a 1/2-thread sweep");
+  flags.flag("--out", &out_path, "output JSON path");
+  flags.flag("--users", &cfg.num_users, "simulated users");
+  flags.flag("--iters", &cfg.iterations, "iterations per user and vector");
+  if (!flags.parse(argc, argv)) return flags.exit_code();
+  if (cfg.num_users == 0 || cfg.iterations == 0) {
+    std::fprintf(stderr,
+                 "parallel_pipeline: --users and --iters must be >= 1\n");
+    return 2;
   }
   if (smoke) {
     cfg.num_users = 120;
@@ -177,12 +186,13 @@ int main(int argc, char** argv) {
     std::printf(
         "  threads=%zu%s  collect=%.3fs table1=%.3fs table2=%.3fs "
         "fig5=%.3fs table6=%.3fs total=%.3fs checksum=%016llx "
-        "renders=%llu/%llu classes\n",
+        "renders=%llu/%llu classes canvas_renders=%llu\n",
         threads, oversubscribed ? " (oversubscribed)" : "", t.collect,
         t.table1, t.table2, t.fig5, t.table6, t.total(),
         static_cast<unsigned long long>(t.checksum),
         static_cast<unsigned long long>(t.render_passes),
-        static_cast<unsigned long long>(t.render_classes));
+        static_cast<unsigned long long>(t.render_classes),
+        static_cast<unsigned long long>(t.canvas_renders));
     runs.emplace_back(threads, t);
   }
 
@@ -191,7 +201,8 @@ int main(int argc, char** argv) {
   for (const auto& [threads, t] : runs) {
     if (t.checksum != runs.front().second.checksum) parity_ok = false;
     if (t.render_passes != runs.front().second.render_passes ||
-        t.render_classes != runs.front().second.render_classes) {
+        t.render_classes != runs.front().second.render_classes ||
+        t.canvas_renders != runs.front().second.canvas_renders) {
       renders_equal = false;
     }
   }
@@ -224,19 +235,27 @@ int main(int argc, char** argv) {
           effective_parallelism, runs.front().second.total() / t.total());
     }
   }
-  // Share of the widest run spent in Fig. 5 (cluster agreement, i.e. AMI):
-  // a hardware-independent ratio CI can put a ceiling on.
+  // Serial Fig. 5 (cluster agreement, i.e. AMI) time per AMI pair: its
+  // denominator is fixed by the study shape, so only Fig. 5 itself moves it
+  // and CI can put a ceiling on it. fig5_share, the widest run's share
+  // spent in Fig. 5, also rises whenever collect gets faster.
+  const double fig5_ms_per_pair =
+      serial.fig5_pairs > 0
+          ? 1000.0 * serial.fig5 / static_cast<double>(serial.fig5_pairs)
+          : 0.0;
   const StageTimes& widest = runs.back().second;
   const double fig5_share =
       widest.total() > 0.0 ? widest.fig5 / widest.total() : 0.0;
   std::printf(
       "  parity=%s  renders=%s  speedup(%zut vs 1t)=%.2fx%s  "
-      "effective=%.2fx  fig5_share=%.4f  render_pass_share=%.4f\n",
+      "effective=%.2fx  fig5_ms_per_pair=%.4f  fig5_share=%.4f  "
+      "render_pass_share=%.4f\n",
       parity_ok ? "ok" : "MISMATCH",
       renders_equal ? "equal" : "DIFFER across thread counts",
       runs.back().first, speedup,
       speedup_valid ? "" : " [invalid: oversubscribed host]",
-      effective_parallelism, fig5_share, render_pass_share);
+      effective_parallelism, fig5_ms_per_pair, fig5_share,
+      render_pass_share);
 
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (!out) {
@@ -252,6 +271,10 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"hardware_concurrency\": %u,\n", hardware);
   std::fprintf(out, "  \"simd_backend\": \"%s\",\n",
                std::string(dsp::to_string(dsp::active_simd_backend())).c_str());
+  std::fprintf(
+      out, "  \"sha256_kernel\": \"%s\",\n",
+      std::string(util::Sha256::kernel_name(util::Sha256::active_kernel()))
+          .c_str());
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"parity_ok\": %s,\n", parity_ok ? "true" : "false");
   std::fprintf(out, "  \"runs\": [\n");
@@ -264,11 +287,13 @@ int main(int argc, char** argv) {
                  "\"table1_s\": %.6f, \"table2_s\": %.6f, \"fig5_s\": %.6f, "
                  "\"table6_s\": %.6f, \"total_s\": %.6f, "
                  "\"render_passes\": %llu, \"render_classes\": %llu, "
+                 "\"canvas_renders\": %llu, "
                  "\"dataset_checksum\": \"%016llx\"}%s\n",
                  threads, oversubscribed ? "true" : "false", t.collect,
                  t.table1, t.table2, t.fig5, t.table6, t.total(),
                  static_cast<unsigned long long>(t.render_passes),
                  static_cast<unsigned long long>(t.render_classes),
+                 static_cast<unsigned long long>(t.canvas_renders),
                  static_cast<unsigned long long>(t.checksum),
                  i + 1 < runs.size() ? "," : "");
   }
@@ -278,9 +303,14 @@ int main(int argc, char** argv) {
                speedup_valid ? "true" : "false");
   std::fprintf(out, "  \"effective_parallelism\": %.4f,\n",
                effective_parallelism);
+  std::fprintf(out, "  \"fig5_pairs\": %llu,\n",
+               static_cast<unsigned long long>(serial.fig5_pairs));
+  std::fprintf(out, "  \"fig5_ms_per_pair\": %.6f,\n", fig5_ms_per_pair);
   std::fprintf(out, "  \"fig5_share\": %.6f,\n", fig5_share);
   std::fprintf(out, "  \"render_passes\": %llu,\n",
                static_cast<unsigned long long>(serial.render_passes));
+  std::fprintf(out, "  \"canvas_renders\": %llu,\n",
+               static_cast<unsigned long long>(serial.canvas_renders));
   std::fprintf(out, "  \"render_classes\": %llu,\n",
                static_cast<unsigned long long>(serial.render_classes));
   std::fprintf(out, "  \"render_pass_share\": %.6f,\n", render_pass_share);

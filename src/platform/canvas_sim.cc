@@ -162,6 +162,12 @@ void draw_glyph(Surface& s, double origin_x, double baseline, char glyph,
   }
 }
 
+/// Text rendering changes with the browser's major version only; point
+/// releases do not.
+std::string browser_major(const PlatformProfile& p) {
+  return p.browser_version.substr(0, p.browser_version.find('.'));
+}
+
 std::uint8_t quantize(double linear, const AaProfile& aa) {
   // Gamma-encode then quantize with the engine's rounding behaviour. The
   // gamma flavour is a *profile* parameter (aa.gamma, round_half_up); the
@@ -196,8 +202,7 @@ std::vector<std::uint8_t> render_canvas_scene(const PlatformProfile& profile) {
   // 3. Pseudo-text: glyph strokes with hinting driven by the text
   //    rasterization stack: OS family + engine + browser *major* version
   //    (point releases do not change text rendering).
-  const std::string major_version =
-      profile.browser_version.substr(0, profile.browser_version.find('.'));
+  const std::string major_version = browser_major(profile);
   const std::uint64_t hinting_seed = util::fnv1a64_mix(
       util::fnv1a64_mix(util::fnv1a64("hinting"),
                         util::fnv1a64(to_string(profile.os)) ^
@@ -222,20 +227,38 @@ std::vector<std::uint8_t> render_canvas_scene(const PlatformProfile& profile) {
     surface.blend(x, kCanvasHeight - 4, {wobble, wobble, wobble, 0.3}, 1.0);
   }
 
-  // Quantize with the profile's gamma/rounding behaviour.
-  std::vector<std::uint8_t> out;
-  out.reserve(kCanvasWidth * kCanvasHeight * 4);
+  // Quantize with the profile's gamma/rounding behaviour. quantize() is a
+  // pure function of the channel value, and most values repeat the pixel
+  // above exactly (gradient columns, disc interiors), so an exact repeat
+  // reuses the byte already computed for it instead of another pow.
+  constexpr std::size_t kRowBytes = kCanvasWidth * 4;
+  std::vector<std::uint8_t> out(kCanvasHeight * kRowBytes);
   for (std::size_t y = 0; y < kCanvasHeight; ++y) {
     for (std::size_t x = 0; x < kCanvasWidth; ++x) {
       const Rgba& c = surface.at(x, y);
-      out.push_back(quantize(c.r, aa));
-      out.push_back(quantize(c.g, aa));
-      out.push_back(quantize(c.b, aa));
-      out.push_back(static_cast<std::uint8_t>(
-          std::clamp(c.a, 0.0, 1.0) * 255.0));
+      const Rgba& up = surface.at(x, y > 0 ? y - 1 : 0);
+      const std::size_t i = y * kRowBytes + x * 4;
+      auto channel = [&](std::size_t k, double value, double above) {
+        out[i + k] = y > 0 && value == above ? out[i + k - kRowBytes]
+                                             : quantize(value, aa);
+      };
+      channel(0, c.r, up.r);
+      channel(1, c.g, up.g);
+      channel(2, c.b, up.b);
+      out[i + 3] =
+          static_cast<std::uint8_t>(std::clamp(c.a, 0.0, 1.0) * 255.0);
     }
   }
   return out;
+}
+
+std::string canvas_key(const PlatformProfile& profile) {
+  // The renderer string is length-prefixed so no renderer name can alias
+  // the fields after it.
+  return std::to_string(profile.gpu_renderer.size()) + ':' +
+         profile.gpu_renderer + '|' + std::to_string(profile.canvas_quirk) +
+         '|' + std::string(to_string(profile.engine)) + '|' +
+         std::string(to_string(profile.os)) + '|' + browser_major(profile);
 }
 
 util::Digest canvas_fingerprint(const PlatformProfile& profile) {

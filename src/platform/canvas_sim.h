@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "platform/profile.h"
@@ -25,6 +26,13 @@ inline constexpr std::size_t kCanvasHeight = 60;
 /// Render the fingerprinting scene; returns RGBA8888, row-major.
 [[nodiscard]] std::vector<std::uint8_t> render_canvas_scene(
     const PlatformProfile& profile);
+
+/// Everything render_canvas_scene reads from a profile, serialized: the GPU
+/// renderer string, the driver quirk class, the engine, the OS family and
+/// the browser *major* version. Profiles with equal keys render identical
+/// pixels, so this is the memo key for canvas digests; fields outside it
+/// (font stack, OS build, point release) never change a canvas.
+[[nodiscard]] std::string canvas_key(const PlatformProfile& profile);
 
 /// SHA-256 of the rendered pixels (the Canvas fingerprint).
 [[nodiscard]] util::Digest canvas_fingerprint(const PlatformProfile& profile);

@@ -10,7 +10,9 @@
 #include "fingerprint/batch_renderer.h"
 #include "fingerprint/collector.h"
 #include "fingerprint/vector_registry.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
+#include "platform/canvas_sim.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/mutex.h"
@@ -37,15 +39,28 @@ constexpr std::array<std::int8_t, 256> kNibbleTable = [] {
   return t;
 }();
 
-util::Digest parse_digest_hex(const std::string& hex) {
+/// The digest in field 3 of `rows[r]`. A short row or a malformed hex
+/// digest is a std::runtime_error naming `path` and the row's line.
+util::Digest parse_digest_field(
+    const std::vector<std::vector<std::string>>& rows, std::size_t r,
+    const std::string& path) {
+  auto fail = [&](const std::string& what) {
+    return std::runtime_error(path + ':' + std::to_string(r + 1) + ": " +
+                              what);
+  };
+  if (rows[r].size() < 4) {
+    throw fail("short row (" + std::to_string(rows[r].size()) +
+               " fields, need 4)");
+  }
+  const std::string& hex = rows[r][3];
   util::Digest d;
-  if (hex.size() != 64) throw std::runtime_error("bad digest hex length");
+  if (hex.size() != 64) throw fail("bad digest hex length");
   for (std::size_t i = 0; i < 32; ++i) {
     const std::int8_t hi =
         kNibbleTable[static_cast<std::uint8_t>(hex[2 * i])];
     const std::int8_t lo =
         kNibbleTable[static_cast<std::uint8_t>(hex[2 * i + 1])];
-    if (hi < 0 || lo < 0) throw std::runtime_error("bad digest hex digit");
+    if (hi < 0 || lo < 0) throw fail("bad digest hex digit");
     d.bytes[i] = static_cast<std::uint8_t>((hi << 4) | lo);
   }
   return d;
@@ -58,10 +73,10 @@ std::string static_vector_key(fingerprint::VectorId id,
   std::string key(to_string(id));
   switch (id) {
     case fingerprint::VectorId::kCanvas:
-      key += p.gpu_renderer + '|' + std::to_string(p.canvas_quirk) + '|' +
-             std::to_string(p.font_profile) + '|' + p.browser_version + '|' +
-             std::string(to_string(p.engine)) + '|' +
-             std::to_string(p.os_build);
+      // The renderer's own read set: users who differ only in fields the
+      // canvas never reads (font stack, OS build, point release) share
+      // one render.
+      key += platform::canvas_key(p);
       break;
     case fingerprint::VectorId::kUserAgent:
       key += p.user_agent();
@@ -82,7 +97,9 @@ std::string static_vector_key(fingerprint::VectorId id,
 /// Cross-user memo for static-vector digests, striped like the render
 /// cache. Per-entry call_once gating: concurrent racers on one cold key
 /// wait for a single compute instead of duplicating it (Canvas rendering
-/// dominates the static-vector cost).
+/// dominates the static-vector cost). Each compute counts one
+/// wafp_static_memo_misses_total{vector=...}, so the counter is the number
+/// of canvas renders a collection paid for.
 class StaticVectorMemo {
  public:
   util::Digest get_or_compute(const std::string& key,
@@ -98,6 +115,11 @@ class StaticVectorMemo {
     }
     std::call_once(entry->once, [&] {
       entry->digest = fingerprint::run_static_vector(id, profile);
+      obs::MetricsRegistry::global()
+          .counter("wafp_static_memo_misses_total",
+                   "static-vector digests computed on a memo miss",
+                   obs::label("vector", to_string(id)))
+          .inc();
     });
     return entry->digest;
   }
@@ -239,10 +261,10 @@ Dataset Dataset::load_or_collect(const StudyConfig& config,
       if (rows.size() == expected) {
         std::size_t r = 1;
         for (std::size_t i = 0; i < ds.audio_.size(); ++i, ++r) {
-          ds.audio_[i] = parse_digest_hex(rows[r].at(3));
+          ds.audio_[i] = parse_digest_field(rows, r, path);
         }
         for (std::size_t i = 0; i < ds.static_.size(); ++i, ++r) {
-          ds.static_[i] = parse_digest_hex(rows[r].at(3));
+          ds.static_[i] = parse_digest_field(rows, r, path);
         }
         return ds;
       }

@@ -46,7 +46,9 @@ class Dataset {
   [[nodiscard]] static Dataset collect(const StudyConfig& config);
 
   /// Load from CSV if `path` exists and matches the config; otherwise
-  /// collect and save there. Empty path always collects.
+  /// collect and save there. Empty path always collects. A matching file
+  /// with a short row or a malformed digest throws std::runtime_error
+  /// naming the path and line.
   [[nodiscard]] static Dataset load_or_collect(const StudyConfig& config,
                                                const std::string& path);
 

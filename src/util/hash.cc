@@ -1,27 +1,34 @@
 #include "util/hash.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstdlib>
 #include <cstring>
+
+#include "util/sha256_kernels.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 namespace wafp::util {
 namespace {
 
-constexpr std::array<std::uint32_t, 64> kK = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
 constexpr std::uint32_t rotr(std::uint32_t x, int n) { return std::rotr(x, n); }
 
 constexpr char kHexDigits[] = "0123456789abcdef";
+
+bool cpu_has_sha_ni() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3_sse41 = (ecx & bit_SSSE3) != 0 && (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return ssse3_sse41 && (ebx & bit_SHA) != 0;
+#else
+  return false;
+#endif
+}
 
 }  // namespace
 
@@ -35,11 +42,9 @@ std::uint64_t Digest::prefix64() const {
   return v;
 }
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+namespace {
 
-void Sha256::process_block(const std::uint8_t* block) {
+void process_block(sha256_detail::State& state, const std::uint8_t* block) {
   std::array<std::uint32_t, 64> w;
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t{block[4 * i]} << 24) |
@@ -55,11 +60,12 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  auto [a, b, c, d, e, f, g, h] = state_;
+  auto [a, b, c, d, e, f, g, h] = state;
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+    const std::uint32_t temp1 =
+        h + s1 + ch + sha256_detail::kRoundConstants[i] + w[i];
     const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
     const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
     const std::uint32_t temp2 = s0 + maj;
@@ -72,36 +78,84 @@ void Sha256::process_block(const std::uint8_t* block) {
     b = a;
     a = temp1 + temp2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+}  // namespace
+
+void sha256_detail::compress_portable(State& state, const std::uint8_t* data,
+                                      std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) process_block(state, data);
+}
+
+bool Sha256::kernel_supported(Kernel kernel) {
+  static const bool sha_ni = cpu_has_sha_ni();
+  return kernel == Kernel::kPortable || sha_ni;
+}
+
+Sha256::Kernel Sha256::active_kernel() {
+  static const Kernel kernel = [] {
+    const char* simd = std::getenv("WAFP_SIMD");
+    const bool forced_scalar =
+        simd != nullptr && std::string_view(simd) == "scalar";
+    return !forced_scalar && kernel_supported(Kernel::kShaNi)
+               ? Kernel::kShaNi
+               : Kernel::kPortable;
+  }();
+  return kernel;
+}
+
+std::string_view Sha256::kernel_name(Kernel kernel) {
+  return kernel == Kernel::kShaNi ? "sha_ni" : "portable";
+}
+
+Sha256::Sha256() : Sha256(active_kernel()) {}
+
+Sha256::Sha256(Kernel kernel)
+    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
+      compress_(&sha256_detail::compress_portable) {
+#if defined(__x86_64__)
+  if (kernel == Kernel::kShaNi && kernel_supported(kernel)) {
+    compress_ = &sha256_detail::compress_shani;
+  }
+#else
+  (void)kernel;
+#endif
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
   total_bytes_ += data.size();
-  std::size_t offset = 0;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  if (n == 0) return;
   if (buffered_ > 0) {
-    const std::size_t take = std::min(data.size(), buffer_.size() - buffered_);
-    std::memcpy(buffer_.data() + buffered_, data.data(), take);
+    const std::size_t take = std::min(n, buffer_.size() - buffered_);
+    std::memcpy(buffer_.data() + buffered_, p, take);
     buffered_ += take;
-    offset = take;
-    if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+    p += take;
+    n -= take;
+    if (buffered_ < buffer_.size()) return;
+    compress_(state_, buffer_.data(), 1);
+    buffered_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  // Every whole block in one call, so a SIMD kernel keeps the state in
+  // registers across the run.
+  if (n >= 64) {
+    compress_(state_, p, n / 64);
+    p += n / 64 * 64;
+    n %= 64;
   }
-  if (offset < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
-    buffered_ = data.size() - offset;
+  if (n > 0) {
+    std::memcpy(buffer_.data(), p, n);
+    buffered_ = n;
   }
 }
 
@@ -128,17 +182,21 @@ void Sha256::update_u64(std::uint64_t v) {
 
 Digest Sha256::finish() {
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(std::span(&pad, 1));
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) update(std::span(&zero, 1));
-  std::array<std::uint8_t, 8> len;
-  for (int i = 0; i < 8; ++i) {
-    len[i] = static_cast<std::uint8_t>(bit_length >> (8 * (7 - i)));
+  // Padding: 0x80, zeros up to byte 56 of a block (spilling into a second
+  // block when fewer than 9 bytes are free), then the big-endian length.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_),
+              buffer_.end(), std::uint8_t{0});
+    compress_(state_, buffer_.data(), 1);
+    buffered_ = 0;
   }
-  // Bypass update()'s length accounting for the final length field.
-  std::memcpy(buffer_.data() + 56, len.data(), 8);
-  process_block(buffer_.data());
+  std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_),
+            buffer_.begin() + 56, std::uint8_t{0});
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (8 * (7 - i)));
+  }
+  compress_(state_, buffer_.data(), 1);
 
   Digest d;
   for (int i = 0; i < 8; ++i) {

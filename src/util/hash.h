@@ -32,9 +32,28 @@ struct Digest {
 
 /// Incremental SHA-256 (FIPS 180-4). Implemented from scratch; validated
 /// against the standard test vectors in tests/util/hash_test.cc.
+///
+/// Block compression is picked once per process: x86-64 CPUs whose CPUID
+/// reports the SHA extensions (with SSSE3 and SSE4.1) run the SHA-NI
+/// kernel, everything else runs the portable C++ rounds. WAFP_SIMD=scalar,
+/// the override that forces the scalar DSP kernels (dsp/simd.h), forces the
+/// portable rounds as well. Both kernels compute the same function, so a
+/// digest never depends on the host; the tests compare them on random
+/// inputs and update() splits.
 class Sha256 {
  public:
+  enum class Kernel { kPortable, kShaNi };
+
+  /// Hash with active_kernel().
   Sha256();
+  /// Hash with `kernel`, or with the portable rounds if this CPU cannot run
+  /// it (kernel_supported()).
+  explicit Sha256(Kernel kernel);
+
+  [[nodiscard]] static bool kernel_supported(Kernel kernel);
+  /// The process-wide choice described above.
+  [[nodiscard]] static Kernel active_kernel();
+  [[nodiscard]] static std::string_view kernel_name(Kernel kernel);
 
   /// Absorb raw bytes.
   void update(std::span<const std::uint8_t> data);
@@ -53,9 +72,11 @@ class Sha256 {
   [[nodiscard]] Digest finish();
 
  private:
-  void process_block(const std::uint8_t* block);
+  using CompressFn = void (*)(std::array<std::uint32_t, 8>& state,
+                              const std::uint8_t* data, std::size_t nblocks);
 
   std::array<std::uint32_t, 8> state_;
+  CompressFn compress_;
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffered_ = 0;
   std::uint64_t total_bytes_ = 0;

@@ -4,10 +4,15 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/span.h"
+#include "platform/canvas_sim.h"
 #include "util/csv.h"
 
 namespace wafp::study {
@@ -123,6 +128,75 @@ TEST(DatasetTest, LoadRejectsMismatchedConfig) {
   const Dataset fresh = Dataset::collect(other);
   EXPECT_EQ(loaded.audio_observation(0, fingerprint::VectorId::kDc, 0),
             fresh.audio_observation(0, fingerprint::VectorId::kDc, 0));
+  std::remove(path.c_str());
+}
+
+// The canvas memo keys on the renderer's read set, so a collection pays for
+// exactly one canvas render per distinct canvas_key, and the counter the
+// parallel_pipeline bench reports sees each of them.
+TEST(DatasetTest, RendersOneCanvasPerDistinctCanvasKey) {
+  obs::Counter& canvases = obs::MetricsRegistry::global().counter(
+      "wafp_static_memo_misses_total", {},
+      obs::label("vector", to_string(fingerprint::VectorId::kCanvas)));
+  StudyConfig cfg = small_config();
+  cfg.threads = 2;
+  const std::uint64_t before = canvases.value();
+  const Dataset ds = Dataset::collect(cfg);
+  std::set<std::string> keys;
+  for (const platform::StudyUser& user : ds.users()) {
+    keys.insert(platform::canvas_key(user.profile));
+  }
+  EXPECT_EQ(canvases.value() - before, keys.size());
+  EXPECT_LT(keys.size(), ds.num_users());
+}
+
+/// Save the small dataset to `path`, then replace line `line` (1-based;
+/// line 1 is the config header) with `replacement`.
+void write_corrupted_csv(const std::string& path, std::size_t line,
+                         const std::string& replacement) {
+  ASSERT_TRUE(small_dataset().save_csv(path));
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string l; std::getline(in, l);) lines.push_back(l);
+  }
+  ASSERT_GE(lines.size(), line);
+  lines[line - 1] = replacement;
+  std::ofstream out(path, std::ios::trunc);
+  for (const std::string& l : lines) out << l << '\n';
+}
+
+/// load_or_collect must throw std::runtime_error whose message names
+/// `path:line` and contains `what`.
+void expect_load_error(const std::string& path, std::size_t line,
+                       const std::string& what) {
+  try {
+    (void)Dataset::load_or_collect(small_config(), path);
+    ADD_FAILURE() << "no error for corrupted " << path;
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(path + ':' + std::to_string(line) + ": "),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+  }
+}
+
+TEST(DatasetTest, LoadRejectsShortRowNamingIt) {
+  const std::string path = "test_dataset_short_row.csv";
+  write_corrupted_csv(path, 5, "3,DC");
+  expect_load_error(path, 5, "short row (2 fields, need 4)");
+  std::remove(path.c_str());
+}
+
+TEST(DatasetTest, LoadRejectsBadHexDigitNamingTheRow) {
+  const std::string path = "test_dataset_bad_hex.csv";
+  // Static rows follow the audio rows; corrupt the last one.
+  const std::size_t line = 1 + small_dataset().num_users() *
+                                   (7 * small_dataset().iterations() + 4);
+  write_corrupted_csv(path, line,
+                      "39,Canvas,0," + std::string(63, 'a') + "g");
+  expect_load_error(path, line, "bad digest hex digit");
   std::remove(path.c_str());
 }
 
